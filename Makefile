@@ -50,10 +50,11 @@ crowd-stress:
 
 # store-stress hammers the epoch-snapshot store under the race
 # detector: concurrent writers publishing epochs while readers hold and
-# render old snapshots, the randomized sharded-vs-flat differential,
-# and the cache-invalidation epoch tests on top of it.
+# render old snapshots, the randomized differential against a naive
+# linear-scan oracle (Add/Remove and Apply batches), and the
+# cache-invalidation epoch tests on top of it.
 store-stress:
-	$(GO) test -race -count=3 -run 'TestShardedSnapshotStableUnderConcurrentPublish|TestShardedOldSnapshotSurvivesDeleteAll|TestShardedDifferentialFlat' ./internal/rdf/
+	$(GO) test -race -count=3 -run 'TestShardedSnapshotStableUnderConcurrentPublish|TestShardedOldSnapshotSurvivesDeleteAll|TestShardedDifferentialOracle' ./internal/rdf/
 	$(GO) test -race -run 'TestDataEpochInvalidatesCachedPlans|TestDeletedEntityNeverResurrectedFromCache' ./internal/core/
 
 # session-smoke curls a live daemon through one scripted dialogue
@@ -82,20 +83,25 @@ bench-smoke:
 
 # emit-golden checks every supported corpus question against the
 # per-backend golden emission files (testdata/golden_*.txt) and runs the
-# SQL-vs-RDF differential; emit-golden-update regenerates the files
-# after an intentional emitter change.
+# SQL-vs-RDF differentials (synthetic and corpus-wide);
+# emit-golden-update regenerates the files after an intentional emitter
+# change.
 emit-golden:
-	$(GO) test -run 'TestBackendGolden|TestGoldenQueriesByteIdentical|TestCorpusSQLDifferential' .
+	$(GO) test -run 'TestBackendGolden' .
+	$(GO) test -run 'TestExternalSourceMatchesRDFStore|TestCorpusSQLDifferential' ./internal/emit/
 
 emit-golden-update:
 	$(GO) test -run TestBackendGolden -update .
 
 # agg-golden pins the aggregate/analytic path: the SPARQL parser and
 # evaluator unit tests (GROUP BY, COUNT/SUM/AVG/MIN/MAX, typed HAVING,
-# numeric ORDER BY) plus the public end-to-end superlative question.
+# numeric ORDER BY), the public end-to-end superlative question, and
+# the corpus SQL-vs-RDF differential, whose GROUP BY plans run the
+# analytic path on both sources.
 agg-golden:
 	$(GO) test -run 'TestParseAggregate|TestEvalOrderNumeric|TestEvalGroupBy|TestEvalSuperlative|TestEvalHaving|TestEvalAggregate|TestAggregateValidate|TestProgrammaticHaving' ./internal/sparql/
-	$(GO) test -run 'TestPublicAggregateEndToEnd|TestCorpusSQLDifferential' .
+	$(GO) test -run 'TestPublicAggregateEndToEnd' .
+	$(GO) test -run 'TestCorpusSQLDifferential' ./internal/emit/
 
 # fuzz-smoke runs each native fuzz target briefly: enough to catch
 # panics and invariant regressions without slowing the gate. Go allows

@@ -11,8 +11,6 @@ import (
 	"testing"
 
 	"nl2cm/internal/corpus"
-	"nl2cm/internal/emit"
-	"nl2cm/internal/sparql"
 )
 
 // -update regenerates the per-backend golden emission files from the
@@ -139,86 +137,4 @@ func TestBackendGolden(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestCorpusSQLDifferential is the cross-backend differential at corpus
-// scale: for every supported question, the general (WHERE) part of the
-// plan — the part the SQL emitter renders — must produce the same
-// bindings from the in-memory table source (full-scan ExternalSource
-// adapter) as from the native RDF store evaluator.
-func TestCorpusSQLDifferential(t *testing.T) {
-	onto := DemoOntology()
-	tr := NewTranslator(onto)
-	mem := emit.LoadMemTable(onto.Store)
-	ext := &emit.Adapter{Ext: mem}
-	ctx := context.Background()
-	checked, aggregated := 0, 0
-	for _, q := range corpus.Supported() {
-		res, err := tr.Translate(ctx, q.Text, Options{})
-		if err != nil {
-			t.Fatalf("%s: Translate: %v", q.ID, err)
-		}
-		if res.Plan == nil || len(res.Plan.Where) == 0 {
-			continue
-		}
-		if _, err := EmitBackend("sql", res.Plan); err != nil {
-			t.Errorf("%s: sql emission: %v", q.ID, err)
-			continue
-		}
-		native, err := emit.ExecuteWhere(res.Plan, onto.Store)
-		if err != nil {
-			t.Errorf("%s: rdf evaluation: %v", q.ID, err)
-			continue
-		}
-		external, err := emit.ExecuteWhere(res.Plan, ext)
-		if err != nil {
-			t.Errorf("%s: external evaluation: %v", q.ID, err)
-			continue
-		}
-		if a, b := bindingKeys(native), bindingKeys(external); !equalStrings(a, b) {
-			t.Errorf("%s: rdf and external bindings diverge\nrdf:      %v\nexternal: %v", q.ID, a, b)
-		}
-		checked++
-		if res.Plan.Aggregated() {
-			aggregated++
-		}
-	}
-	if checked == 0 {
-		t.Fatal("no corpus question exercised the differential")
-	}
-	if aggregated == 0 {
-		t.Fatal("no corpus question exercised the GROUP BY differential")
-	}
-}
-
-// bindingKeys canonicalizes bindings into a sorted multiset of strings.
-func bindingKeys(bs []sparql.Binding) []string {
-	out := make([]string, 0, len(bs))
-	for _, b := range bs {
-		vars := make([]string, 0, len(b))
-		for v := range b {
-			vars = append(vars, v)
-		}
-		sort.Strings(vars)
-		var parts []string
-		for _, v := range vars {
-			parts = append(parts, v+"="+b[v].String())
-		}
-		out = append(out, strings.Join(parts, " "))
-	}
-	sort.Strings(out)
-	return out
-}
-
-// equalStrings compares two string slices elementwise.
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -298,7 +298,7 @@ func BenchmarkP3_CrowdEngine(b *testing.B) {
 func BenchmarkP4_SPARQLStore(b *testing.B) {
 	for _, size := range []int{100, 1000, 10000} {
 		b.Run(fmt.Sprintf("triples=%d", size), func(b *testing.B) {
-			s := rdf.NewStore()
+			s := rdf.NewShardedStore(0)
 			for i := 0; i < size; i++ {
 				s.AddTriple(
 					rdf.NewIRI(fmt.Sprintf("e%d", i)),

@@ -2,10 +2,17 @@ package emit
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 
 	"nl2cm/internal/rdf"
 	"nl2cm/internal/sparql"
 )
+
+// This file holds the test-only external-store adapter behind the SQL vs
+// RDF differentials. Its names are exported so the emit_test package's
+// corpus differential, which imports the root nl2cm package, can use
+// them too.
 
 // ExternalSource is the minimal contract a pluggable (non-RDF) store
 // must satisfy for a plan's general WHERE clause to execute against it:
@@ -53,8 +60,7 @@ func (a *Adapter) CountMatch(pattern rdf.Triple) int {
 }
 
 // MemTable is an in-memory (s, p, o) row table: the reference
-// ExternalSource, used by the cross-backend differential tests as the
-// SQL-style `triples` table, and a template for real adapters.
+// ExternalSource, standing in for the SQL emitter's `triples` table.
 type MemTable struct {
 	rows [][3]rdf.Term
 }
@@ -77,8 +83,8 @@ func (m *MemTable) Each(fn func(s, p, o rdf.Term) bool) {
 }
 
 // LoadMemTable copies every triple of a sparql.Source (for example an
-// *rdf.Store) into a fresh MemTable — the bulk-export path that stands
-// in for an ETL into an external store.
+// *rdf.Snapshot) into a fresh MemTable — the bulk-export path that
+// stands in for an ETL into an external store.
 func LoadMemTable(src sparql.Source) *MemTable {
 	m := &MemTable{}
 	all := rdf.T(rdf.NewVar("s"), rdf.NewVar("p"), rdf.NewVar("o"))
@@ -108,4 +114,20 @@ func ExecuteWhere(p *Plan, src sparql.Source) ([]sparql.Binding, error) {
 		}
 	}
 	return sparql.Eval(q, src, nil)
+}
+
+// BindingMultiset renders bindings as a sorted multiset key, so two
+// evaluations compare independent of row order.
+func BindingMultiset(bs []sparql.Binding) string {
+	keys := make([]string, len(bs))
+	for i, b := range bs {
+		var parts []string
+		for v, t := range b {
+			parts = append(parts, v+"="+t.String())
+		}
+		sort.Strings(parts)
+		keys[i] = strings.Join(parts, ";")
+	}
+	sort.Strings(keys)
+	return strings.Join(keys, "\n")
 }

@@ -1,30 +1,11 @@
 package emit
 
 import (
-	"sort"
-	"strings"
 	"testing"
 
 	"nl2cm/internal/ontology"
 	"nl2cm/internal/rdf"
-	"nl2cm/internal/sparql"
 )
-
-// bindingMultiset renders bindings as a sorted multiset key, so two
-// evaluations compare independent of row order.
-func bindingMultiset(bs []sparql.Binding) string {
-	keys := make([]string, len(bs))
-	for i, b := range bs {
-		var parts []string
-		for v, t := range b {
-			parts = append(parts, v+"="+t.String())
-		}
-		sort.Strings(parts)
-		keys[i] = strings.Join(parts, ";")
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, "\n")
-}
 
 // synthPlans are general-part plans over the synthetic ontology's shape:
 // class membership, near chains, located-in joins.
@@ -92,7 +73,7 @@ func TestExternalSourceMatchesRDFStore(t *testing.T) {
 		if len(rdfBindings) == 0 {
 			t.Errorf("plan %d: no bindings from the RDF store (weak test)", i)
 		}
-		if got, want := bindingMultiset(extBindings), bindingMultiset(rdfBindings); got != want {
+		if got, want := BindingMultiset(extBindings), BindingMultiset(rdfBindings); got != want {
 			t.Errorf("plan %d: external source diverges from RDF store\nexternal (%d rows)\nrdf (%d rows)",
 				i, len(extBindings), len(rdfBindings))
 		}

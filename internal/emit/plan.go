@@ -1,10 +1,8 @@
-// Package emit separates "translate" from "render" from "execute": the
+// Package emit separates "translate" from "render": the
 // translation pipeline produces a backend-neutral logical query IR (the
 // Plan), and pluggable Backends render it into concrete query dialects —
 // OASSIS-QL (the paper's language), SQL, a MongoDB-style document filter
-// and a Cypher-like graph dialect. The package also provides an
-// ExternalSource adapter so the general (WHERE) part of a plan can
-// execute against stores other than the in-memory RDF engine.
+// and a Cypher-like graph dialect.
 //
 // The Plan mirrors the structure the Query Composition module assembles
 // (paper §2.6) without committing to any concrete syntax: general triple

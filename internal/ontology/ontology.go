@@ -85,9 +85,10 @@ type Ontology struct {
 	// store epoch change.
 	regVersion atomic.Uint64
 
-	// derived is the index for one (store epoch, regVersion) pair;
-	// rebuildMu serializes rebuilds without blocking readers of the
-	// current index.
+	// derived is the index for one (store epoch, regVersion) pair.
+	// rebuildMu serializes rebuilds: every reader that finds derived
+	// stale waits on it until the one rebuild finishes, so a write
+	// stalls each lookup that follows it for a full rebuild.
 	derived   atomic.Pointer[derivedIndex]
 	rebuildMu sync.Mutex
 }
@@ -148,8 +149,9 @@ func (o *Ontology) idx() *derivedIndex {
 }
 
 // rebuild recomputes the derived index from the latest snapshot and
-// registration state. Concurrent callers rebuild once; readers keep
-// using the previous index until the new one is published.
+// registration state. Concurrent callers rebuild once: the first takes
+// rebuildMu and rebuilds while the others wait on it, then find the
+// fresh index published and return it.
 func (o *Ontology) rebuild() *derivedIndex {
 	o.rebuildMu.Lock()
 	defer o.rebuildMu.Unlock()

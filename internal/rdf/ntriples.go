@@ -49,26 +49,6 @@ func ParseNTriples(r io.Reader) ([]Triple, error) {
 	return out, nil
 }
 
-// LoadNTriples parses N-Triples from r and adds every statement to the
-// store, returning the number of newly added triples.
-func LoadNTriples(s *Store, r io.Reader) (int, error) {
-	triples, err := ParseNTriples(r)
-	if err != nil {
-		return 0, err
-	}
-	added := 0
-	for _, t := range triples {
-		ok, err := s.Add(t)
-		if err != nil {
-			return added, err
-		}
-		if ok {
-			added++
-		}
-	}
-	return added, nil
-}
-
 func parseNTLine(line string) (Triple, error) {
 	p := &ntParser{in: line}
 	s, err := p.term()

@@ -79,23 +79,6 @@ func TestWriteNTriplesRejectsVariables(t *testing.T) {
 	}
 }
 
-func TestLoadNTriples(t *testing.T) {
-	in := `<http://e/a> <http://e/p> <http://e/b> .
-<http://e/a> <http://e/p> <http://e/b> .
-<http://e/c> <http://e/p> <http://e/d> .`
-	s := NewStore()
-	n, err := LoadNTriples(s, strings.NewReader(in))
-	if err != nil {
-		t.Fatalf("LoadNTriples: %v", err)
-	}
-	if n != 2 {
-		t.Fatalf("added %d, want 2 (one duplicate)", n)
-	}
-	if s.Len() != 2 {
-		t.Fatalf("store Len = %d, want 2", s.Len())
-	}
-}
-
 // Property: serialize → parse round-trips any set of ground triples whose
 // literals use the escapes we support.
 func TestNTriplesRoundTrip(t *testing.T) {

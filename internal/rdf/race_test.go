@@ -49,12 +49,13 @@ func TestConcurrentInternAndRead(t *testing.T) {
 	}
 }
 
-// TestConcurrentStoreWritesAndMatches interleaves store mutation with
-// pattern matching and counting from many goroutines. The store promises
-// full thread safety (mutating calls exclude readers), so under -race
+// TestConcurrentStoreWritesAndMatches interleaves single-triple store
+// mutation with pattern matching and counting from many goroutines.
+// Mutators serialize on the store lock while each read publishes any
+// pending writes and then reads an immutable snapshot, so under -race
 // this must be clean.
 func TestConcurrentStoreWritesAndMatches(t *testing.T) {
-	s := NewStore()
+	s := NewShardedStore(0)
 	pred := NewIRI("p")
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {

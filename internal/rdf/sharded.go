@@ -27,9 +27,15 @@ const DefaultShards = 16
 // read-your-writes still holds. Apply publishes eagerly so callers
 // learn the epoch their batch landed in.
 //
-// The per-shard index layout is identical to Store's flat posting
-// lists; see that type for the rationale. The zero value is not usable
-// — create one with NewShardedStore.
+// Terms are interned to dense uint32 IDs through one Dict shared by
+// every snapshot, and each shard indexes its triples through the six
+// access paths (S, P, O, SP, PO, OS) as flat posting lists of packed
+// integer keys rather than nested maps of Term structs: one hash over a
+// machine word replaces three hashes over four-field structs, and
+// enumeration walks a contiguous slice instead of chasing map buckets.
+// Lookups with any combination of bound positions run against the most
+// selective index, and CountMatch answers from posting-list lengths.
+// The zero value is not usable — create one with NewShardedStore.
 type ShardedStore struct {
 	mu       sync.Mutex // serializes mutators and publication
 	dict     *Dict
@@ -40,11 +46,11 @@ type ShardedStore struct {
 	epochGen uint64 // last published epoch; guarded by mu
 }
 
-// Snapshot is an immutable point-in-time view of a ShardedStore. It
-// implements the same read API as Store (Match, MatchFunc, CountMatch,
-// Subjects, Objects, Contains, Len, All) and therefore satisfies the
-// sparql Source and Counter interfaces; a consumer that holds a
-// Snapshot across an entire query is isolated from concurrent writes.
+// Snapshot is an immutable point-in-time view of a ShardedStore. Its
+// read API (Match, MatchFunc, CountMatch, Subjects, Objects, Contains,
+// Len, All) satisfies the sparql Source and Counter interfaces; a
+// consumer that holds a Snapshot across an entire query is isolated
+// from concurrent writes.
 type Snapshot struct {
 	epoch  uint64
 	dict   *Dict
@@ -53,19 +59,34 @@ type Snapshot struct {
 	total  int
 }
 
-// shardData is one shard's immutable index set, laid out exactly like
-// the flat Store. Posting slices may be shared with older and newer
-// snapshots; they are copied before the first mutation in each epoch.
+// shardData is one shard's immutable index set. Posting slices may be
+// shared with older and newer snapshots; they are copied before the
+// first mutation in each epoch.
 type shardData struct {
-	pos    map[ids3]int
-	trips  []ids3
+	// pos maps a triple to its position in trips, for O(1) membership
+	// and swap-delete removal.
+	pos   map[ids3]int
+	trips []ids3
+	// Single-position indexes: subject -> packed (p,o), predicate ->
+	// packed (o,s), object -> packed (s,p).
 	bySubj map[uint32][]uint64
 	byPred map[uint32][]uint64
 	byObj  map[uint32][]uint64
-	bySP   map[uint64][]uint32
-	byPO   map[uint64][]uint32
-	byOS   map[uint64][]uint32
+	// Pair indexes: packed (s,p) -> o, packed (p,o) -> s, packed (o,s)
+	// -> p.
+	bySP map[uint64][]uint32
+	byPO map[uint64][]uint32
+	byOS map[uint64][]uint32
 }
+
+// ids3 is a triple of interned term IDs.
+type ids3 struct{ s, p, o uint32 }
+
+// pack combines two interned IDs into one 64-bit index key.
+func pack(a, b uint32) uint64 { return uint64(a)<<32 | uint64(b) }
+
+func unpackHi(k uint64) uint32 { return uint32(k >> 32) }
+func unpackLo(k uint64) uint32 { return uint32(k) }
 
 var emptyShard = &shardData{}
 
@@ -138,19 +159,11 @@ func (st *ShardedStore) add(t Triple) (bool, error) {
 
 // remove buffers one delete; callers hold mu.
 func (st *ShardedStore) remove(t Triple) bool {
-	sid, ok := st.dict.Lookup(t.S)
-	if !ok {
+	k, sb, pb, ob, possible := resolve(st.dict, t)
+	if !possible || !sb || !pb || !ob {
 		return false
 	}
-	pid, ok := st.dict.Lookup(t.P)
-	if !ok {
-		return false
-	}
-	oid, ok := st.dict.Lookup(t.O)
-	if !ok {
-		return false
-	}
-	return st.builder(st.shardOf(sid)).remove(ids3{sid, pid, oid})
+	return st.builder(st.shardOf(k.s)).remove(k)
 }
 
 // Add buffers a ground triple for the next epoch and reports whether
@@ -177,9 +190,10 @@ func (st *ShardedStore) AddTriple(sub, pred, obj Term) {
 }
 
 // Remove buffers a delete for the next epoch and reports whether the
-// triple was present. As in Store, interned term IDs are retained
-// forever by design: IDs are dense array indexes shared by every live
-// snapshot, so reclaiming them would require a global rewrite.
+// triple was present. Interned term IDs are retained forever by design:
+// IDs are dense array indexes shared by every live snapshot, so
+// reclaiming them would require a global rewrite; a store that churns
+// the same vocabulary re-uses the retained IDs at zero cost.
 func (st *ShardedStore) Remove(t Triple) bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -316,27 +330,27 @@ func (sn *Snapshot) ShardSizes() []int {
 
 // resolve looks each concrete pattern position up in the dictionary
 // without interning; a miss means the pattern cannot match.
-func (sn *Snapshot) resolve(p Triple) (k ids3, sb, pb, ob, possible bool) {
+func resolve(d *Dict, p Triple) (k ids3, sb, pb, ob, possible bool) {
 	possible = true
 	if sb = p.S.IsConcrete(); sb {
-		if k.s, possible = sn.dict.Lookup(p.S); !possible {
+		if k.s, possible = d.Lookup(p.S); !possible {
 			return
 		}
 	}
 	if pb = p.P.IsConcrete(); pb {
-		if k.p, possible = sn.dict.Lookup(p.P); !possible {
+		if k.p, possible = d.Lookup(p.P); !possible {
 			return
 		}
 	}
 	if ob = p.O.IsConcrete(); ob {
-		k.o, possible = sn.dict.Lookup(p.O)
+		k.o, possible = d.Lookup(p.O)
 	}
 	return
 }
 
 // Contains reports whether the ground triple is in the snapshot.
 func (sn *Snapshot) Contains(t Triple) bool {
-	k, sb, pb, ob, possible := sn.resolve(t)
+	k, sb, pb, ob, possible := resolve(sn.dict, t)
 	if !possible || !sb || !pb || !ob {
 		return false
 	}
@@ -359,7 +373,7 @@ func (sn *Snapshot) Match(pattern Triple) []Triple {
 // stops early when fn returns false. A subject-bound pattern touches
 // exactly one shard; other shapes fan out across shards.
 func (sn *Snapshot) MatchFunc(pattern Triple, fn func(Triple) bool) {
-	k, sb, pb, ob, possible := sn.resolve(pattern)
+	k, sb, pb, ob, possible := resolve(sn.dict, pattern)
 	if !possible {
 		return
 	}
@@ -428,7 +442,7 @@ func (sn *Snapshot) MatchFunc(pattern Triple, fn func(Triple) bool) {
 // shard's posting-list length in O(1); the rest sum one length per
 // shard, O(shards).
 func (sn *Snapshot) CountMatch(pattern Triple) int {
-	k, sb, pb, ob, possible := sn.resolve(pattern)
+	k, sb, pb, ob, possible := resolve(sn.dict, pattern)
 	if !possible {
 		return 0
 	}

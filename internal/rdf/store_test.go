@@ -10,8 +10,14 @@ import (
 
 func iri(s string) Term { return NewIRI("http://ex.org/" + s) }
 
+// The tests named TestStore* drive ShardedStore through its
+// single-triple mutators (Add, Remove) and its convenience read methods,
+// each of which publishes pending writes and reads the current
+// snapshot. The sharded_test.go tests cover Apply batches and pinned
+// Snapshots.
+
 func TestStoreAddContainsRemove(t *testing.T) {
-	s := NewStore()
+	s := NewShardedStore(0)
 	tr := T(iri("delaware_park"), iri("instanceOf"), iri("Place"))
 	added, err := s.Add(tr)
 	if err != nil || !added {
@@ -43,29 +49,16 @@ func TestStoreAddContainsRemove(t *testing.T) {
 }
 
 func TestStoreRejectsNonGround(t *testing.T) {
-	s := NewStore()
+	s := NewShardedStore(0)
 	if _, err := s.Add(T(NewVar("x"), iri("p"), iri("o"))); err == nil {
 		t.Fatal("Add of non-ground triple succeeded, want error")
 	}
 }
 
-func TestStoreZeroValueUsable(t *testing.T) {
-	var s Store
-	if s.Len() != 0 || s.Contains(T(iri("a"), iri("b"), iri("c"))) {
-		t.Fatal("zero-value store not empty")
-	}
-	if got := s.Match(T(NewVar("s"), NewVar("p"), NewVar("o"))); got != nil {
-		t.Fatalf("zero-value Match = %v, want nil", got)
-	}
-	s.AddTriple(iri("a"), iri("b"), iri("c"))
-	if s.Len() != 1 {
-		t.Fatal("zero-value store Add failed")
-	}
-}
-
-// buildTestStore populates a store with a small mixed dataset.
-func buildTestStore() *Store {
-	s := NewStore()
+// buildTestStore populates a four-shard store with a small mixed
+// dataset, so subject-unbound patterns fan out across shards.
+func buildTestStore() *ShardedStore {
+	s := NewShardedStore(4)
 	s.AddTriple(iri("park"), iri("instanceOf"), iri("Place"))
 	s.AddTriple(iri("zoo"), iri("instanceOf"), iri("Place"))
 	s.AddTriple(iri("hotel"), iri("instanceOf"), iri("Hotel"))
@@ -112,15 +105,27 @@ func TestStoreMatchPatterns(t *testing.T) {
 	}
 }
 
+// Every enumeration path must stop as soon as fn returns false; each
+// pattern below has at least two matches, and TestShardedMatchFuncEarlyStop
+// covers a later stop on the full scan.
 func TestStoreMatchFuncEarlyStop(t *testing.T) {
 	s := buildTestStore()
-	n := 0
-	s.MatchFunc(T(NewVar("s"), NewVar("p"), NewVar("o")), func(Triple) bool {
-		n++
-		return n < 2
-	})
-	if n != 2 {
-		t.Fatalf("early stop visited %d triples, want 2", n)
+	v := NewVar
+	for _, pat := range []Triple{
+		T(v("s"), v("p"), v("o")),
+		T(iri("park"), v("p"), v("o")),
+		T(v("s"), iri("instanceOf"), v("o")),
+		T(v("s"), v("p"), iri("hotel")),
+		T(v("s"), iri("instanceOf"), iri("Place")),
+	} {
+		n := 0
+		s.MatchFunc(pat, func(Triple) bool {
+			n++
+			return false
+		})
+		if n != 1 {
+			t.Errorf("MatchFunc(%v) visited %d triples after stop, want 1", pat, n)
+		}
 	}
 }
 
@@ -137,7 +142,7 @@ func TestStoreSubjectsObjects(t *testing.T) {
 }
 
 func TestStoreConcurrentAccess(t *testing.T) {
-	s := NewStore()
+	s := NewShardedStore(0)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -160,7 +165,7 @@ func TestStoreConcurrentAccess(t *testing.T) {
 func TestStoreMatchAllEqualsInserted(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		r := rand.New(rand.NewSource(seed))
-		s := NewStore()
+		s := NewShardedStore(0)
 		want := map[Triple]bool{}
 		for i := 0; i < int(n%40); i++ {
 			tr := T(
@@ -191,7 +196,7 @@ func TestStoreMatchAllEqualsInserted(t *testing.T) {
 func TestStoreRemovePreservesOthers(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		s := NewStore()
+		s := NewShardedStore(0)
 		var all []Triple
 		for i := 0; i < 20; i++ {
 			tr := T(iri(fmt.Sprintf("s%d", r.Intn(6))), iri("p"), iri(fmt.Sprintf("o%d", r.Intn(6))))
@@ -220,12 +225,14 @@ func TestStoreRemovePreservesOthers(t *testing.T) {
 }
 
 // TestStoreRemoveHeavyLenAndDictRetention drives the store through a
-// remove-heavy churn cycle: Len must track exactly through interleaved
-// adds/removes, every index must agree after draining to empty, and
-// the dictionary must retain all interned IDs (intentional: IDs are
-// dense array indexes and are never reused).
+// remove-heavy churn cycle one Remove at a time (its twin
+// TestShardedRemoveHeavyAndDictRetention uses Apply batches): Len must
+// track exactly through interleaved adds/removes, every index must
+// agree after draining to empty, and the dictionary must retain all
+// interned IDs (intentional: IDs are dense array indexes and are never
+// reused).
 func TestStoreRemoveHeavyLenAndDictRetention(t *testing.T) {
-	s := NewStore()
+	s := NewShardedStore(0)
 	var all []Triple
 	for i := 0; i < 250; i++ {
 		all = append(all, T(iri(fmt.Sprintf("s%d", i%50)), iri(fmt.Sprintf("p%d", i%5)), iri(fmt.Sprintf("o%d", i))))

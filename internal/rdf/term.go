@@ -1,10 +1,11 @@
 // Package rdf provides the RDF data substrate used throughout NL2CM: terms
-// (IRIs, literals, blank nodes, variables), triples, and an indexed
-// in-memory triple store with N-Triples I/O.
+// (IRIs, literals, blank nodes, variables), triples, N-Triples I/O, and
+// the epoch-snapshot triple store (ShardedStore, read through immutable
+// Snapshots).
 //
-// The store backs both the general-knowledge ontologies queried by the
-// SPARQL engine and the dependency-graph encoding matched by the IX
-// detection patterns.
+// The store holds the general-knowledge ontologies queried by the SPARQL
+// engine; terms and triples also encode the dependency graphs matched by
+// the IX detection patterns.
 package rdf
 
 import (

@@ -7,8 +7,8 @@ import (
 )
 
 // Triple is a single RDF statement. Any position may hold a variable when
-// the triple is used as a query pattern; triples stored in a Store must be
-// ground.
+// the triple is used as a query pattern; triples stored in a ShardedStore
+// must be ground.
 type Triple struct {
 	S, P, O Term
 }
@@ -73,7 +73,7 @@ func SortTriples(ts []Triple) {
 }
 
 // Graph is an ordered collection of triples with set-like helpers. Unlike
-// Store it preserves insertion order and permits non-ground triples, which
+// ShardedStore it preserves insertion order and permits non-ground triples, which
 // makes it suitable for carrying query patterns between pipeline modules.
 type Graph struct {
 	triples []Triple

@@ -40,8 +40,8 @@ func diffNumLiteral(r *rand.Rand) rdf.Term {
 	return rdf.NewIntLiteral(int64(r.Intn(150))) // 1-3 digit widths
 }
 
-func randomStore(r *rand.Rand) *rdf.Store {
-	st := rdf.NewStore()
+func randomStore(r *rand.Rand) *rdf.ShardedStore {
+	st := rdf.NewShardedStore(0)
 	n := 20 + r.Intn(30)
 	for i := 0; i < n; i++ {
 		st.MustAdd(rdf.T(
@@ -259,7 +259,7 @@ func TestDifferentialEvalMatchesReference(t *testing.T) {
 // TestDifferentialFallbackWideQuery forces the >64-variable fallback
 // path and checks it degrades to the reference evaluator, not an error.
 func TestDifferentialFallbackWideQuery(t *testing.T) {
-	st := rdf.NewStore()
+	st := rdf.NewShardedStore(0)
 	st.MustAdd(rdf.T(diffEntity(0), diffPred(0), diffEntity(1)))
 	q := &Query{Limit: -1}
 	for i := 0; i < maxSlots+2; i++ {
@@ -303,7 +303,7 @@ func TestBindingKeyCollisionFree(t *testing.T) {
 // the returned window must not retain capacity into (and thereby pin or
 // expose) the full pre-OFFSET result.
 func TestOffsetLimitWindowIsCopied(t *testing.T) {
-	st := rdf.NewStore()
+	st := rdf.NewShardedStore(0)
 	for i := 0; i < 6; i++ {
 		st.MustAdd(rdf.T(diffEntity(i), diffPred(0), diffEntity(0)))
 	}

@@ -10,7 +10,8 @@ import (
 )
 
 // Source is any triple collection that can enumerate matches for a
-// pattern. *rdf.Store implements it; the IX detector provides an adapter
+// pattern. *rdf.Snapshot implements it (and *rdf.ShardedStore, which
+// evaluation pins to a Snapshot); the IX detector provides an adapter
 // that exposes a dependency graph as triples. Sources that additionally
 // implement Counter get cardinality-driven join planning.
 type Source interface {

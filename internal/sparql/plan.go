@@ -7,8 +7,9 @@ import (
 )
 
 // Counter is an optional Source capability: a cheap cardinality estimate
-// for a pattern (variables act as wildcards). *rdf.Store answers every
-// bound-position combination from a posting-list length in O(1); the IX
+// for a pattern (variables act as wildcards). *rdf.Snapshot answers
+// every bound-position combination from posting-list lengths (O(1) with
+// a bound subject, one length per shard otherwise); the IX
 // detector's GraphSource counts exactly over its per-relation edge
 // index. Sources that implement it get cardinality-driven join planning;
 // others fall back to the unbound-variable heuristic.

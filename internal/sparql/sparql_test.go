@@ -14,8 +14,8 @@ func iri(s string) rdf.Term { return rdf.NewIRI(s) }
 
 // testStore builds a small geo ontology in the spirit of the paper's
 // LinkedGeoData excerpt.
-func testStore() *rdf.Store {
-	s := rdf.NewStore()
+func testStore() *rdf.ShardedStore {
+	s := rdf.NewShardedStore(0)
 	add := func(sub, p, o string) { s.AddTriple(iri(sub), iri(p), iri(o)) }
 	add("Delaware_Park", "instanceOf", "Place")
 	add("Buffalo_Zoo", "instanceOf", "Place")
@@ -229,7 +229,7 @@ func TestEvalOffset(t *testing.T) {
 }
 
 func TestEvalRepeatedVariable(t *testing.T) {
-	s := rdf.NewStore()
+	s := rdf.NewShardedStore(0)
 	s.AddTriple(iri("a"), iri("knows"), iri("a"))
 	s.AddTriple(iri("a"), iri("knows"), iri("b"))
 	q, err := Parse(`SELECT $x WHERE { $x knows $x }`)
@@ -384,7 +384,7 @@ func TestValueTruthyAndNum(t *testing.T) {
 func TestEvalMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		s := rdf.NewStore()
+		s := rdf.NewShardedStore(0)
 		ents := []string{"a", "b", "c", "d"}
 		preds := []string{"p", "q"}
 		for i := 0; i < 12; i++ {
@@ -469,7 +469,7 @@ func TestEvalLimitPrefix(t *testing.T) {
 // Previously unbound compared equal to everything, leaving such rows
 // wherever the join happened to produce them.
 func TestOrderByUnboundSortsFirst(t *testing.T) {
-	s := rdf.NewStore()
+	s := rdf.NewShardedStore(0)
 	add := func(sub, p, o string) { s.AddTriple(iri(sub), iri(p), iri(o)) }
 	add("a1", "p", "b1")
 	add("a2", "p", "b2")

