@@ -1,15 +1,14 @@
 GO ?= go
 
-.PHONY: all check vet staticcheck build test race session-stress session-smoke crowd-stress store-stress loadgen-smoke bench bench-smoke bench-record fuzz-smoke emit-golden emit-golden-update agg-golden fmt
+.PHONY: all check vet staticcheck build test race session-stress session-smoke store-stress serve-smoke bench bench-smoke bench-record fuzz-smoke emit-golden-update fmt
 
 all: check
 
-# check is the CI gate: vet + staticcheck, build everything, run the
-# tests with the race detector (the concurrency stress tests depend on
-# it), verify the per-backend golden emissions and the analytic path,
-# hammer the dialogue-session subsystem a few extra rounds, then smoke
-# the serving layer with a short load-generator run.
-check: vet staticcheck build race emit-golden agg-golden session-stress crowd-stress store-stress loadgen-smoke
+# check is the CI gate: vet + staticcheck, build everything, run every
+# test once with the race detector (the concurrency stress tests depend
+# on it), repeat the session and store stress tests a few extra rounds,
+# then smoke the serving layer against a live daemon.
+check: vet staticcheck build race session-stress store-stress serve-smoke
 
 vet:
 	$(GO) vet ./...
@@ -39,15 +38,6 @@ race:
 session-stress:
 	$(GO) test -race -count=3 -run 'TestSessionStress|TestAbandonedSessionsLeakNoGoroutines|TestConcurrentAnswersOneSession' ./internal/session/
 
-# crowd-stress exercises the crowd-scale subsystem under the race
-# detector: the streaming queue and sequential sampler (including the
-# cancellation/goroutine-leak and backpressure tests), the engine
-# wiring, and the corpus-wide differential against the exhaustive
-# engine.
-crowd-stress:
-	$(GO) test -race ./internal/crowdscale/ ./internal/crowd/
-	$(GO) test -race -run TestCrowdScaleDifferentialCorpus .
-
 # store-stress hammers the epoch-snapshot store under the race
 # detector: concurrent writers publishing epochs while readers hold and
 # render old snapshots, the randomized differential against a naive
@@ -62,14 +52,18 @@ store-stress:
 session-smoke:
 	./scripts/session_smoke.sh
 
-# loadgen-smoke drives a short repeated-question workload through
-# cmd/loadgen against a locally started daemon and asserts nonzero
-# throughput, zero errors and a warm plan cache (requires jq).
-loadgen-smoke:
-	./scripts/loadgen_smoke.sh
+# serve-smoke runs the end-to-end benchmark for two seconds on read-hot
+# and then on write-mix, each against a freshly started daemon. perfbench
+# exits non-zero on any failed request, any reply that differs from its
+# in-process oracle, a read-hot plan-cache miss, or a write-mix write
+# that does not publish exactly one epoch.
+serve-smoke:
+	bash perfbench/run.sh --workload read-hot --seconds 2
+	bash perfbench/run.sh --workload write-mix --seconds 2
 
-# bench-record runs the P-series benches plus a full loadgen run and
-# writes today's BENCH_<date>.json perf record (requires jq).
+# bench-record runs the P-series benches plus one perfbench run per
+# workload and writes today's BENCH_<date>.json perf record (requires
+# jq).
 bench-record:
 	./scripts/bench_record.sh
 
@@ -81,27 +75,11 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x .
 
-# emit-golden checks every supported corpus question against the
-# per-backend golden emission files (testdata/golden_*.txt) and runs the
-# SQL-vs-RDF differentials (synthetic and corpus-wide);
-# emit-golden-update regenerates the files after an intentional emitter
-# change.
-emit-golden:
-	$(GO) test -run 'TestBackendGolden' .
-	$(GO) test -run 'TestExternalSourceMatchesRDFStore|TestCorpusSQLDifferential' ./internal/emit/
-
+# emit-golden-update regenerates the per-backend golden emission files
+# (testdata/golden_*.txt) after an intentional emitter change;
+# TestBackendGolden checks them on every test run.
 emit-golden-update:
 	$(GO) test -run TestBackendGolden -update .
-
-# agg-golden pins the aggregate/analytic path: the SPARQL parser and
-# evaluator unit tests (GROUP BY, COUNT/SUM/AVG/MIN/MAX, typed HAVING,
-# numeric ORDER BY), the public end-to-end superlative question, and
-# the corpus SQL-vs-RDF differential, whose GROUP BY plans run the
-# analytic path on both sources.
-agg-golden:
-	$(GO) test -run 'TestParseAggregate|TestEvalOrderNumeric|TestEvalGroupBy|TestEvalSuperlative|TestEvalHaving|TestEvalAggregate|TestAggregateValidate|TestProgrammaticHaving' ./internal/sparql/
-	$(GO) test -run 'TestPublicAggregateEndToEnd' .
-	$(GO) test -run 'TestCorpusSQLDifferential' ./internal/emit/
 
 # fuzz-smoke runs each native fuzz target briefly: enough to catch
 # panics and invariant regressions without slowing the gate. Go allows

@@ -23,8 +23,8 @@ func synthFor(triples int) *ontology.Ontology {
 
 // BenchmarkP8_JoinPlan measures a three-pattern BGP join where the
 // selective pattern (richIn appears on 1% of entities) is written last:
-// a cardinality-driven planner starts from it, while the unbound-variable
-// heuristic starts from the first, far larger pattern.
+// the planner, ordering patterns by the store's CountMatch, must start
+// from it rather than from the first, far larger pattern.
 func BenchmarkP8_JoinPlan(b *testing.B) {
 	for _, triples := range []int{10_000, 100_000} {
 		b.Run(fmt.Sprintf("triples=%d", triples), func(b *testing.B) {

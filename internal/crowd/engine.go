@@ -51,10 +51,6 @@ type Engine struct {
 	// any Source (e.g. a million-member crowdscale.Population). The
 	// engine does not own the executor: callers Close it.
 	Scale *crowdscale.Executor
-	// ScaleExhaustive, with Scale set, disables early termination: every
-	// task is fully sampled through the queue (the fixed-sample baseline
-	// for differential tests and benchmarks).
-	ScaleExhaustive bool
 
 	// The support cache memoizes Crowd.Support per (fact key, effective
 	// sample size): repeated keys across subclauses and requests would
@@ -389,25 +385,18 @@ func (e *Engine) evalSubclause(ctx context.Context, idx int, sc oassisql.Subclau
 		g.bindings = append(g.bindings, b)
 	}
 
-	// Three support paths: the streaming sequential sampler (decides
-	// significance itself, on estimates), the streaming exhaustive
-	// baseline, and the synchronous memoized fan-out. groups are in
-	// first-appearance order here — the tie-break order both
-	// applySignificance and the sequential sampler guarantee.
-	sequential := e.Scale != nil && !e.ScaleExhaustive
-	switch {
-	case sequential:
+	// Two support paths: the streaming sequential sampler (decides
+	// significance itself, on estimates) and the synchronous memoized
+	// fan-out. groups are in first-appearance order here — the
+	// tie-break order both applySignificance and the sequential sampler
+	// guarantee.
+	sequential := e.Scale != nil
+	if sequential {
 		if err := e.evalScale(ctx, idx, sc, groups); err != nil {
 			return nil, nil, err
 		}
-	case e.Scale != nil:
-		if err := e.scaleSupports(ctx, groups); err != nil {
-			return nil, nil, err
-		}
-	default:
-		if err := e.askCrowd(ctx, groups, cnt); err != nil {
-			return nil, nil, err
-		}
+	} else if err := e.askCrowd(ctx, groups, cnt); err != nil {
+		return nil, nil, err
 	}
 	sort.SliceStable(groups, func(i, j int) bool { return groups[i].task.Support > groups[j].task.Support })
 

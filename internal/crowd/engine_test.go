@@ -317,7 +317,7 @@ func TestSupportCache(t *testing.T) {
 }
 
 // The monotonic-counter contract must hold under concurrent Execute and
-// ResetCache (run under -race in the crowd-stress gate).
+// ResetCache (run under -race by make check).
 func TestResetCacheRaceSafe(t *testing.T) {
 	eng := demoEngine()
 	q := runningExampleQuery(t)

@@ -71,21 +71,3 @@ func (e *Engine) evalScale(ctx context.Context, idx int, sc oassisql.Subclause, 
 	}
 	return nil
 }
-
-// scaleSupports fills in exact supports through the executor's queue
-// (full fixed-size sampling, batched across the worker pool) — the
-// fixed-sample baseline the sequential path is measured against.
-func (e *Engine) scaleSupports(ctx context.Context, groups []*taskGroup) error {
-	keys := make([]string, len(groups))
-	for i, g := range groups {
-		keys[i] = g.task.Key
-	}
-	sup, err := e.Scale.Supports(ctx, keys, e.SampleSize)
-	if err != nil {
-		return &core.StageError{Stage: core.StageCrowd, Err: err}
-	}
-	for i, g := range groups {
-		g.task.Support = sup[i]
-	}
-	return nil
-}

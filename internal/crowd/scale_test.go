@@ -73,33 +73,37 @@ func TestScaleMatchesExhaustive(t *testing.T) {
 	}
 }
 
-// ScaleExhaustive routes full sampling through the queue and must agree
-// with the synchronous path support-for-support.
-func TestScaleExhaustiveOracle(t *testing.T) {
-	q := runningExampleQuery(t)
-	base := demoEngine()
-	want, err := base.Execute(context.Background(), q)
+// Full sampling through the executor's queue (Supports) must agree
+// support-for-support with the synchronous Crowd.Support over the
+// running example's task keys.
+func TestScaleSupportsOracle(t *testing.T) {
+	eng := demoEngine()
+	res, err := eng.Execute(context.Background(), runningExampleQuery(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := scaleEngine(t, crowdscale.Config{})
-	eng.ScaleExhaustive = true
-	got, err := eng.Execute(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want.Subclauses {
-		a, b := want.Subclauses[i].Tasks, got.Subclauses[i].Tasks
-		if len(a) != len(b) {
-			t.Fatalf("subclause %d task counts differ", i)
+	var keys []string
+	for _, sc := range res.Subclauses {
+		for _, task := range sc.Tasks {
+			keys = append(keys, task.Key)
 		}
-		for j := range a {
-			if a[j].Key != b[j].Key || a[j].Significant != b[j].Significant {
-				t.Fatalf("subclause %d task %d: %+v vs %+v", i, j, a[j], b[j])
-			}
-			if diff := a[j].Support - b[j].Support; diff > 1e-9 || diff < -1e-9 {
-				t.Fatalf("subclause %d task %d support %v vs %v", i, j, a[j].Support, b[j].Support)
-			}
+	}
+	if len(keys) == 0 {
+		t.Fatal("running example issued no tasks")
+	}
+	x, err := NewScaleExecutor(eng.Crowd, crowdscale.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Close()
+	got, err := x.Supports(context.Background(), keys, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, key := range keys {
+		want := eng.Crowd.Support(key, 0)
+		if diff := got[i] - want; diff > 1e-9 || diff < -1e-9 {
+			t.Errorf("task %q: executor support %v, Crowd.Support %v", key, got[i], want)
 		}
 	}
 }

@@ -24,10 +24,9 @@ type ExternalSource interface {
 	Each(fn func(s, p, o rdf.Term) bool)
 }
 
-// Adapter lifts an ExternalSource into a sparql.Source (and
-// sparql.Counter, so the cardinality-driven join planner works), letting
-// the streaming evaluator run a plan's general part against any
-// row-shaped store.
+// Adapter lifts an ExternalSource into a sparql.Source, letting the
+// streaming evaluator run a plan's general part against any row-shaped
+// store.
 type Adapter struct {
 	Ext ExternalSource
 }
@@ -52,7 +51,7 @@ func (a *Adapter) MatchFunc(pattern rdf.Triple, fn func(rdf.Triple) bool) {
 	})
 }
 
-// CountMatch implements sparql.Counter with an exact full-scan count.
+// CountMatch implements sparql.Source with an exact full-scan count.
 func (a *Adapter) CountMatch(pattern rdf.Triple) int {
 	n := 0
 	a.MatchFunc(pattern, func(rdf.Triple) bool { n++; return true })

@@ -75,7 +75,7 @@ func (s *GraphSource) MatchFunc(pattern rdf.Triple, fn func(rdf.Triple) bool) {
 	}
 }
 
-// CountMatch implements sparql.Counter with exact counts, so pattern
+// CountMatch implements sparql.Source with exact counts, so pattern
 // joins over the graph are ordered most-selective-first. Exact counting
 // is affordable here because a dependency graph has at most a few dozen
 // edges.

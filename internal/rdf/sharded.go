@@ -48,9 +48,9 @@ type ShardedStore struct {
 
 // Snapshot is an immutable point-in-time view of a ShardedStore. Its
 // read API (Match, MatchFunc, CountMatch, Subjects, Objects, Contains,
-// Len, All) satisfies the sparql Source and Counter interfaces; a
-// consumer that holds a Snapshot across an entire query is isolated
-// from concurrent writes.
+// Len, All) satisfies the sparql Source interface; a consumer that
+// holds a Snapshot across an entire query is isolated from concurrent
+// writes.
 type Snapshot struct {
 	epoch  uint64
 	dict   *Dict
@@ -148,13 +148,29 @@ func (st *ShardedStore) builder(shard uint32) *shardBuilder {
 	return b
 }
 
+// present reports whether the triple is in the store including pending
+// writes, without creating a builder: a write that changes nothing
+// must neither clone a shard nor publish an epoch. Callers hold mu.
+func (st *ShardedStore) present(shard uint32, k ids3) bool {
+	data := st.snap.Load().shards[shard]
+	if b := st.pending[shard]; b != nil {
+		data = &b.data
+	}
+	_, ok := data.pos[k]
+	return ok
+}
+
 // add buffers one insert; callers hold mu.
 func (st *ShardedStore) add(t Triple) (bool, error) {
 	if !t.IsGround() {
 		return false, fmt.Errorf("rdf: cannot store non-ground triple %v", t)
 	}
 	k := ids3{st.dict.Intern(t.S), st.dict.Intern(t.P), st.dict.Intern(t.O)}
-	return st.builder(st.shardOf(k.s)).add(k), nil
+	shard := st.shardOf(k.s)
+	if st.present(shard, k) {
+		return false, nil
+	}
+	return st.builder(shard).add(k), nil
 }
 
 // remove buffers one delete; callers hold mu.
@@ -163,7 +179,11 @@ func (st *ShardedStore) remove(t Triple) bool {
 	if !possible || !sb || !pb || !ob {
 		return false
 	}
-	return st.builder(st.shardOf(k.s)).remove(k)
+	shard := st.shardOf(k.s)
+	if !st.present(shard, k) {
+		return false
+	}
+	return st.builder(shard).remove(k)
 }
 
 // Add buffers a ground triple for the next epoch and reports whether
@@ -202,9 +222,11 @@ func (st *ShardedStore) Remove(t Triple) bool {
 
 // Apply applies a batch (deletes first, then inserts) and publishes
 // the resulting epoch immediately. It returns the number of triples
-// actually inserted and deleted and the epoch now serving them. A
-// batch containing a non-ground insert is rejected whole: nothing is
-// buffered and the current epoch is returned.
+// actually inserted and deleted and the epoch now serving them; a
+// batch that inserts and deletes nothing publishes no new epoch unless
+// Add or Remove left writes pending. A batch containing a non-ground
+// insert is rejected whole: nothing is buffered and the current epoch
+// is returned.
 func (st *ShardedStore) Apply(b Batch) (added, removed int, epoch uint64, err error) {
 	for _, t := range b.Insert {
 		if !t.IsGround() {

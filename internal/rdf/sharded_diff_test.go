@@ -177,6 +177,9 @@ func TestShardedDifferentialOracle(t *testing.T) {
 					if epoch != st.Epoch() || epoch < before {
 						t.Fatalf("%s: Apply epoch %d, before %d, store now %d", where, epoch, before, st.Epoch())
 					}
+					if (epoch == before) != (added+removed == 0) {
+						t.Fatalf("%s: Apply +%d -%d moved the epoch %d -> %d", where, added, removed, before, epoch)
+					}
 				}
 				for mask := 0; mask < 8; mask++ {
 					probe(st, oracle, where, mask)

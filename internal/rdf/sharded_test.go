@@ -34,10 +34,11 @@ func TestShardedAddSnapshotReadYourWrites(t *testing.T) {
 	if err != nil || ok {
 		t.Fatalf("duplicate Add = %v, %v, want false, nil", ok, err)
 	}
-	// A no-op re-add marks the shard dirty but publishing it must not
-	// change contents.
 	if got := st.Len(); got != 1 {
 		t.Fatalf("Len = %d, want 1", got)
+	}
+	if st.Epoch() != 1 {
+		t.Fatalf("Epoch after duplicate Add = %d, want 1", st.Epoch())
 	}
 }
 

@@ -9,13 +9,17 @@ import (
 	"nl2cm/internal/rdf"
 )
 
-// Source is any triple collection that can enumerate matches for a
-// pattern. *rdf.Snapshot implements it (and *rdf.ShardedStore, which
-// evaluation pins to a Snapshot); the IX detector provides an adapter
-// that exposes a dependency graph as triples. Sources that additionally
-// implement Counter get cardinality-driven join planning.
+// Source is any triple collection that can enumerate and count the
+// matches for a pattern (variables act as wildcards). *rdf.Snapshot
+// implements it (and *rdf.ShardedStore, which evaluation pins to a
+// Snapshot), counting from posting-list lengths: O(1) with a bound
+// subject, one length per shard otherwise. The IX detector's
+// GraphSource exposes a dependency graph as triples and counts exactly
+// over its per-relation edge index. The join planner orders patterns
+// by CountMatch, so it should be cheap next to MatchFunc.
 type Source interface {
 	MatchFunc(pattern rdf.Triple, fn func(rdf.Triple) bool)
+	CountMatch(pattern rdf.Triple) int
 }
 
 // pin resolves a mutable source to an immutable point-in-time view when

@@ -6,39 +6,23 @@ import (
 	"nl2cm/internal/rdf"
 )
 
-// Counter is an optional Source capability: a cheap cardinality estimate
-// for a pattern (variables act as wildcards). *rdf.Snapshot answers
-// every bound-position combination from posting-list lengths (O(1) with
-// a bound subject, one length per shard otherwise); the IX
-// detector's GraphSource counts exactly over its per-relation edge
-// index. Sources that implement it get cardinality-driven join planning;
-// others fall back to the unbound-variable heuristic.
-type Counter interface {
-	CountMatch(pattern rdf.Triple) int
-}
-
 // planBGP orders the triple patterns of one basic graph pattern for a
 // left-deep streaming join. bound names the variables the seed rows may
 // already bind (the planner treats them as selective join keys, not as
 // wildcards). The input slice is not modified.
 //
-// With a Counter source the plan is greedy by estimated result size:
-// at each step the cheapest remaining pattern is picked, where a
-// pattern's base estimate is the index count with only its concrete
-// positions bound, discounted for every already-bound variable position
-// (a bound variable turns an enumeration into a per-row lookup).
-// Patterns disconnected from the bound set are penalized so cartesian
-// products run last. Ties resolve by input position, keeping plans
+// The plan is greedy by estimated result size: at each step the
+// cheapest remaining pattern is picked, where a pattern's base estimate
+// is the source's count with only its concrete positions bound,
+// discounted for every already-bound variable position (a bound
+// variable turns an enumeration into a per-row lookup). Patterns
+// disconnected from the bound set are penalized so cartesian products
+// run last. Ties resolve by input position, keeping plans
 // deterministic.
-//
-// Without a Counter the order is the previous evaluator's heuristic —
-// fewest unbound variables first, ties by input position — so sources
-// like scripted test doubles see identical behavior.
 func planBGP(patterns []rdf.Triple, bound map[string]bool, src Source) []rdf.Triple {
 	if len(patterns) <= 1 {
 		return patterns
 	}
-	counter, _ := src.(Counter)
 	isBound := map[string]bool{}
 	for v := range bound {
 		isBound[v] = true
@@ -49,19 +33,7 @@ func planBGP(patterns []rdf.Triple, bound map[string]bool, src Source) []rdf.Tri
 	for len(remaining) > 0 {
 		best, bestCost := 0, math.Inf(1)
 		for i, p := range remaining {
-			var cost float64
-			if counter != nil {
-				cost = estimateCost(p, isBound, counter)
-			} else {
-				unbound := 0
-				p.EachVar(func(v string) {
-					if !isBound[v] {
-						unbound++
-					}
-				})
-				cost = float64(unbound)
-			}
-			if cost < bestCost {
+			if cost := estimateCost(p, isBound, src); cost < bestCost {
 				best, bestCost = i, cost
 			}
 		}
@@ -79,14 +51,14 @@ func planBGP(patterns []rdf.Triple, bound map[string]bool, src Source) []rdf.Tri
 // far smaller than the whole posting list), and a pattern sharing no
 // bound variable at all is pushed behind connected ones by a large
 // cartesian-product penalty.
-func estimateCost(p rdf.Triple, bound map[string]bool, counter Counter) float64 {
+func estimateCost(p rdf.Triple, bound map[string]bool, src Source) float64 {
 	wildcard := func(t rdf.Term, name string) rdf.Term {
 		if t.IsVar() {
 			return rdf.NewVar(name)
 		}
 		return t
 	}
-	base := float64(counter.CountMatch(rdf.T(
+	base := float64(src.CountMatch(rdf.T(
 		wildcard(p.S, "s"), wildcard(p.P, "p"), wildcard(p.O, "o"))))
 	boundVars, unboundVars := 0, 0
 	p.EachVar(func(v string) {

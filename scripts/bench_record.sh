@@ -1,66 +1,60 @@
 #!/usr/bin/env bash
 # bench_record.sh produces the repo's in-repo perf record for today: it
-# runs the P-series micro-benchmarks (go test -bench), a full
-# cmd/loadgen run against a locally started daemon, and a cmd/crowdbench
-# run over a million-member synthetic population, then merges all three
-# into one well-formed BENCH_<date>.json (or the file named by $1).
-# Requires jq.
+# runs the P-series micro-benchmarks (go test -bench) and one perfbench
+# run per workload that BENCHMARK.json declares (seed 1, 15 s, each
+# against a freshly started daemon), then merges them into one
+# well-formed BENCH_<date>.json (or the file named by $1). Requires jq.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 out=${1:-BENCH_$(date +%F).json}
-addr=127.0.0.1:8097
 workdir=$(mktemp -d)
-daemon=
-cleanup() {
-  [ -n "$daemon" ] && kill "$daemon" 2>/dev/null || true
-  rm -rf "$workdir"
-}
-trap cleanup EXIT
+trap 'rm -rf "$workdir"' EXIT
 
 benchcmd="go test -run '^$' -bench 'BenchmarkP8_JoinPlan|BenchmarkP9_ScaleLookup|BenchmarkP10_GroupBy|BenchmarkP11_CrowdScale|BenchmarkP12_SnapshotRead' -benchmem ."
 echo "== micro-benchmarks: $benchcmd"
 go test -run '^$' -bench 'BenchmarkP8_JoinPlan|BenchmarkP9_ScaleLookup|BenchmarkP10_GroupBy|BenchmarkP11_CrowdScale|BenchmarkP12_SnapshotRead' \
   -benchmem . | tee "$workdir/bench.txt"
 
-# "BenchmarkP8_JoinPlan/triples=10000-8   123  165018 ns/op  42192 B/op  291 allocs/op"
-# → {"name": ..., "ns_per_op": ..., "bytes_per_op": ..., "allocs_per_op": ...}
+# A result line is the name, the iteration count, then value/unit pairs;
+# custom metrics (P11's answers/op) sit between ns/op and B/op:
+# "BenchmarkP11_CrowdScale/members=10000/fixed-2  100  2417 ns/op  240000 answers/op  53464 B/op  12 allocs/op"
+# → {"name": ..., "ns_per_op": ..., "bytes_per_op": ..., "allocs_per_op": ..., "answers_per_op": ...}
 awk '/^Benchmark/ {
   name = $1; sub(/^Benchmark/, "", name); sub(/-[0-9]+$/, "", name)
-  printf "{\"name\": \"%s\", \"ns_per_op\": %d, \"bytes_per_op\": %d, \"allocs_per_op\": %d}\n",
-    name, $3, $5, $7
+  delete v
+  for (i = 3; i < NF; i += 2) v[$(i + 1)] = $i
+  row = sprintf("{\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s",
+    name, v["ns/op"], v["B/op"], v["allocs/op"])
+  if ("answers/op" in v) row = row sprintf(", \"answers_per_op\": %s", v["answers/op"])
+  print row "}"
 }' "$workdir/bench.txt" | jq -s . >"$workdir/benchmarks.json"
 
-echo "== loadgen against a live daemon"
-go build -o "$workdir/nl2cmd" ./cmd/nl2cmd
-go build -o "$workdir/loadgen" ./cmd/loadgen
-"$workdir/nl2cmd" -addr "$addr" &
-daemon=$!
-"$workdir/loadgen" -addr "http://$addr" \
-  -sessions "${SESSIONS:-200}" -requests "${REQUESTS:-5000}" \
-  -out "$workdir/serving.json"
-kill "$daemon" && wait "$daemon" 2>/dev/null || true
-daemon=
-
-echo "== crowdbench over a million-member population"
-go build -o "$workdir/crowdbench" ./cmd/crowdbench
-"$workdir/crowdbench" -members "${CROWD_MEMBERS:-1000000}" -out "$workdir/crowd.json"
+# serving maps each workload to the JSON object perfbench prints as its
+# last line; run.sh exits non-zero on a wrong reply or a broken guard,
+# which aborts the record.
+servecmd="bash perfbench/run.sh --workload <name> --seed 1 --seconds 15"
+echo '{}' >"$workdir/serving.json"
+for w in $(jq -r '.workloads[].name' BENCHMARK.json); do
+  echo "== perfbench: ${servecmd/<name>/$w}"
+  bash perfbench/run.sh --workload "$w" --seed 1 --seconds 15 >"$workdir/$w.out"
+  tail -n 1 "$workdir/$w.out" >"$workdir/$w.json"
+  jq --arg w "$w" --slurpfile r "$workdir/$w.json" '.[$w] = $r[0]' \
+    "$workdir/serving.json" >"$workdir/serving.next" && mv "$workdir/serving.next" "$workdir/serving.json"
+done
 
 jq -n \
   --arg date "$(date +%F)" \
   --arg go "$(go version | sed 's/^go version //')" \
   --arg cpu "$(grep -m1 'model name' /proc/cpuinfo | sed 's/.*: //' || echo unknown)" \
-  --arg cmd "$benchcmd" \
+  --arg cmd "$benchcmd; $servecmd" \
   --arg note "${NOTE:-}" \
   --slurpfile benchmarks "$workdir/benchmarks.json" \
   --slurpfile serving "$workdir/serving.json" \
-  --slurpfile crowd "$workdir/crowd.json" \
   '{date: $date, go: $go, cpu: $cpu, command: $cmd, note: $note,
-    benchmarks: $benchmarks[0], serving: $serving[0], crowd: $crowd[0]}' >"$out"
+    benchmarks: $benchmarks[0], serving: $serving[0]}' >"$out"
 
 echo "record written to $out"
-jq '{date, serving: {throughput_rps: .serving.throughput_rps,
-     latency_ms: .serving.latency_ms, cache_hit_rate: .serving.cache_hit_rate,
-     cached_speedup: .serving.cached_speedup},
-     crowd: {members: .crowd.members, savings_pct: .crowd.sequential_savings_pct,
-     speedup_x: .crowd.sequential_speedup_x, all_modes_agree: .crowd.all_modes_agree}}' "$out"
+jq '{date, serving: (.serving | map_values({correct, failed,
+     throughput_rps: .metrics.throughput_rps.value,
+     latency_p50_ms: .metrics.latency_p50_ms.value}))}' "$out"
