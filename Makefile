@@ -83,10 +83,11 @@ emit-golden-update:
 
 # fuzz-smoke runs each native fuzz target briefly: enough to catch
 # panics and invariant regressions without slowing the gate. Go allows
-# one -fuzz pattern per package invocation, hence two runs.
+# one -fuzz pattern per package invocation, hence one run per target.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParse -fuzztime=20s ./internal/nlp/
 	$(GO) test -fuzz=FuzzParse -fuzztime=20s ./internal/sparql/
+	$(GO) test -fuzz=FuzzNTriplesRoundTrip -fuzztime=20s ./internal/rdf/
 
 fmt:
 	gofmt -l -w .

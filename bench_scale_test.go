@@ -51,7 +51,9 @@ func BenchmarkP8_JoinPlan(b *testing.B) {
 
 // BenchmarkP9_ScaleLookup measures the qgen hot path at ontology scale:
 // a feedback-ranked label lookup (which probes entity degree via
-// CountMatch) followed by a two-pattern Eval over the store.
+// CountMatch) followed by a two-pattern Eval over the store. One untimed
+// lookup and evaluation first derive the label index, so the timed loop
+// prices the steady state, not the one-time derivation.
 func BenchmarkP9_ScaleLookup(b *testing.B) {
 	for _, triples := range []int{10_000, 100_000} {
 		b.Run(fmt.Sprintf("triples=%d", triples), func(b *testing.B) {
@@ -64,9 +66,7 @@ func BenchmarkP9_ScaleLookup(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			lookup := func() {
 				cands := gen.RankCandidates("entity 42")
 				if len(cands) == 0 {
 					b.Fatal("lookup found nothing")
@@ -75,6 +75,12 @@ func BenchmarkP9_ScaleLookup(b *testing.B) {
 				if err != nil || len(rows) == 0 {
 					b.Fatalf("eval failed: %v (%d rows)", err, len(rows))
 				}
+			}
+			lookup()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lookup()
 			}
 		})
 	}

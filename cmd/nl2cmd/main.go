@@ -805,10 +805,30 @@ type apiResponse struct {
 	Rendering *nl2cm.Rendering `json:"rendering,omitempty"`
 }
 
+// maxBodyBytes caps every JSON request body. It is far above any real
+// request: a 1,000-triple /api/store batch is about 100 KiB.
+const maxBodyBytes = 4 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes.
+// On failure it writes the reply itself — 413 for an oversized body, 400
+// for anything else — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		http.Error(w, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge)
+		return false
+	}
+	http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	return false
+}
+
 func (s *server) apiTranslate(w http.ResponseWriter, r *http.Request) {
 	var req apiRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	backend := strings.TrimSpace(req.Backend)
@@ -936,8 +956,7 @@ type storeResponse struct {
 // index re-derives, so an inserted entity resolves on the next query.
 func (s *server) apiStore(w http.ResponseWriter, r *http.Request) {
 	var req storeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	var batch nl2cm.StoreBatch

@@ -60,8 +60,7 @@ func sessionError(w http.ResponseWriter, err error) {
 // pending question (or its terminal state, for question-free requests).
 func (s *server) apiSessionStart(w http.ResponseWriter, r *http.Request) {
 	var req sessionStartRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if strings.TrimSpace(req.Question) == "" {
@@ -97,8 +96,7 @@ func (s *server) apiSessionAnswer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req sessionAnswerRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if err := sess.Answer(req.Question, req.Answer); err != nil {

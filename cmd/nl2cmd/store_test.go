@@ -135,3 +135,58 @@ func TestAPIStatsStoreSection(t *testing.T) {
 		t.Fatalf("triples = %d, want %d", after.Store.Triples, before.Store.Triples+1)
 	}
 }
+
+// padBody pads a JSON object with whitespace before its closing brace so
+// the body is exactly n bytes; the decoder must read the last byte.
+func padBody(t *testing.T, object string, n int) string {
+	t.Helper()
+	open := strings.TrimSuffix(object, "}")
+	if pad := n - len(open) - 1; pad >= 0 {
+		return open + strings.Repeat(" ", pad) + "}"
+	}
+	t.Fatalf("object is %d bytes, longer than %d", len(object), n)
+	return ""
+}
+
+// TestAPIBodyLimit pins the request-body cap on the JSON handlers: a
+// body of exactly maxBodyBytes decodes, one byte more is refused with
+// 413 before the handler does any work.
+func TestAPIBodyLimit(t *testing.T) {
+	s := testServer(t)
+	const insert = `{"insert": "<http://nl2cm.org/onto/Big> <http://nl2cm.org/onto/label> \"Big\" ."}`
+	if _, rec := postStore(t, s, padBody(t, insert, maxBodyBytes)); rec.Code != http.StatusOK {
+		t.Fatalf("store body at the limit: status = %d: %s", rec.Code, rec.Body.String())
+	}
+	for name, h := range map[string]struct {
+		handler func(http.ResponseWriter, *http.Request)
+		body    string
+	}{
+		"store":         {s.apiStore, insert},
+		"translate":     {s.apiTranslate, `{"question": "Where do you visit in Buffalo?"}`},
+		"session start": {s.apiSessionStart, `{"question": "Where do you visit in Buffalo?"}`},
+	} {
+		rec := httptest.NewRecorder()
+		h.handler(rec, httptest.NewRequest("POST", "/", strings.NewReader(padBody(t, h.body, maxBodyBytes+1))))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: body one byte over the limit: status = %d, want 413: %s", name, rec.Code, rec.Body.String())
+		}
+	}
+}
+
+// TestAPIStoreLargeBatch checks a 1,000-triple batch, the size of the
+// benchmark's write batches, stays well inside the body cap.
+func TestAPIStoreLargeBatch(t *testing.T) {
+	s := testServer(t)
+	var nt strings.Builder
+	for i := 0; i < 1000; i++ {
+		fmt.Fprintf(&nt, "<http://nl2cm.org/onto/Batch%d> <http://nl2cm.org/onto/label> \"Batch place %d\" .\n", i, i)
+	}
+	body, err := json.Marshal(storeRequest{Insert: nt.String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, rec := postStore(t, s, string(body))
+	if rec.Code != http.StatusOK || resp.Added != 1000 {
+		t.Fatalf("1,000-triple batch (%d bytes): status %d, added %d: %s", len(body), rec.Code, resp.Added, rec.Body.String())
+	}
+}

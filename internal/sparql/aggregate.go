@@ -2,17 +2,15 @@ package sparql
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
 	"strings"
 
 	"nl2cm/internal/rdf"
 )
 
-// This file holds the grouping/aggregation step shared by both
-// evaluators: the normalized aggregation spec (HAVING aggregate calls
-// hoisted into hidden Aggregate entries), the per-group accumulator, and
-// the semantics both implementations must agree on:
+// This file holds the grouping/aggregation step: the normalized
+// aggregation spec (HAVING aggregate calls hoisted into hidden Aggregate
+// entries), the per-group accumulator, and its semantics (which the
+// differential tests' reference evaluator also implements):
 //
 //   - Grouping keys are the GROUP BY variables; an unbound group
 //     variable is its own key component, distinct from every bound value.
@@ -303,7 +301,7 @@ func (a *aggArena) take() []aggState {
 }
 
 // termArena is the same chunked allocator for per-group slot-row term
-// slices (the streaming evaluator's group representatives).
+// slices (the group representatives).
 type termArena struct {
 	w    int // row width
 	buf  []rdf.Term
@@ -336,141 +334,40 @@ func groupSizeHint(rows int) int {
 	return hint
 }
 
-// refAggregate is the reference evaluator's grouping step over map-form
-// bindings. Groups emit in first-appearance order of their keys.
-//
-// The group key is assembled in a reused byte buffer and looked up via
-// groups[string(key)] — the compiler elides that conversion's
-// allocation — so only the first row of each group materializes a key
-// string. At 100k rows this removes one allocation per row.
-func refAggregate(spec *aggSpec, rows []Binding, env *Env) []Binding {
-	type group struct {
-		rep    Binding
-		states []aggState
-	}
-	hint := groupSizeHint(len(rows))
-	// Groups live in a slice in first-appearance order; the map holds
-	// indexes into it, so no per-group pointer allocation and no separate
-	// emission-order slice are needed.
-	arr := make([]group, 0, hint)
-	groups := make(map[string]int32, hint)
-	states := newAggArena(len(spec.aggs))
-	var keyBuf []byte
-	for _, b := range rows {
-		keyBuf = keyBuf[:0]
-		for _, v := range spec.groupBy {
-			t, ok := b[v]
-			keyBuf = appendGroupKeyPart(keyBuf, t, ok)
-		}
-		idx, ok := groups[string(keyBuf)]
-		if !ok {
-			rep := make(Binding, len(spec.groupBy)+len(spec.aggs))
-			for _, v := range spec.groupBy {
-				if t, ok := b[v]; ok {
-					rep[v] = t
-				}
-			}
-			idx = int32(len(arr))
-			arr = append(arr, group{rep: rep, states: states.take()})
-			groups[string(keyBuf)] = idx
-		}
-		g := &arr[idx]
-		for i, a := range spec.aggs {
-			t, ok := b[a.Var]
-			g.states[i].add(a, t, ok)
-		}
-	}
-	if len(arr) == 0 && len(spec.groupBy) == 0 {
-		// A global aggregate over zero rows still produces one group.
-		arr = append(arr, group{rep: Binding{}, states: states.take()})
-	}
-	out := make([]Binding, 0, len(arr))
-	for gi := range arr {
-		g := &arr[gi]
-		b := g.rep
-		for i, a := range spec.aggs {
-			if t, ok := g.states[i].result(a); ok {
-				b[a.As] = t
-			}
-		}
-		if havingPass(spec.having, b, env) {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
-// SortBindings orders map-form solution rows in place under the SPARQL
-// ordering semantics both evaluators share: an unbound sort variable
-// sorts before any bound value (so under DESC it sorts last), two
-// unbound values compare equal and fall through to the next key, and
-// bound terms compare under the typed rdf.Term.Compare ordering.
-func SortBindings(rows []Binding, keys []OrderKey) {
-	if len(keys) == 0 {
-		return
-	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		for _, k := range keys {
-			ti, iok := rows[i][k.Var]
-			tj, jok := rows[j][k.Var]
-			if !iok || !jok {
-				if iok == jok {
-					continue
-				}
-				less := !iok // unbound before bound
-				if k.Desc {
-					return !less
-				}
-				return less
-			}
-			c := ti.Compare(tj)
-			if c == 0 {
-				continue
-			}
-			if k.Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
-}
-
-// AggregateBindings applies a query's analytic step — grouping,
-// aggregates, HAVING, ORDER BY and the OFFSET/LIMIT window — to
-// already-computed solution rows. It is the post-hoc counterpart of the
-// grouping step inside the evaluators, for callers (the crowd engine)
-// that interleave their own filtering between pattern matching and
-// aggregation. Only the query's analytic fields are consulted; Where is
-// read solely to resolve HAVING aggregate aliases against pattern
-// variables. Rows are not modified; a fresh slice is returned whenever
-// any step applies.
+// AggregateBindings applies a query's solution modifiers — grouping,
+// aggregates, HAVING, ORDER BY, projection, DISTINCT and the
+// OFFSET/LIMIT window — to already-computed solution rows. It is the
+// post-hoc counterpart of Eval's modifier tail, for callers (the crowd
+// engine) that interleave their own filtering between pattern matching
+// and aggregation, and it runs the very same code. Where is read only to
+// resolve HAVING aggregate aliases against pattern variables. Every
+// variable an input row binds gets a slot, so a step without grouping
+// keeps each row's full binding. Rows are not modified; the result is
+// freshly allocated.
 func AggregateBindings(q *Query, rows []Binding, env *Env) ([]Binding, error) {
 	spec, err := aggregationSpec(q)
 	if err != nil {
 		return nil, err
 	}
-	if spec != nil {
-		rows = refAggregate(spec, rows, env)
-	} else if len(q.OrderBy) > 0 || q.Offset > 0 || q.Limit >= 0 {
-		// Sorting and windowing reorder/retain in place below; keep the
-		// caller's slice intact.
-		rows = append([]Binding(nil), rows...)
-	}
-	SortBindings(rows, q.OrderBy)
-	if q.Offset > 0 || (q.Limit >= 0 && q.Limit < len(rows)) {
-		if q.Offset >= len(rows) {
-			return nil, nil
+	c := compileQuery(q, spec)
+	for _, b := range rows {
+		for v := range b {
+			c.addVar(v)
 		}
-		w := rows[q.Offset:]
-		if q.Limit >= 0 && q.Limit < len(w) {
-			w = w[:q.Limit]
-		}
-		out := make([]Binding, len(w))
-		copy(out, w)
-		rows = out
 	}
-	return rows, nil
+	w := len(c.vars)
+	terms := make([]rdf.Term, len(rows)*w)
+	in := make([]row, len(rows))
+	for i, b := range rows {
+		r := row(terms[i*w : (i+1)*w : (i+1)*w])
+		copy(r, c.vars)
+		for v, t := range b {
+			r[c.slots[v]] = t
+		}
+		in[i] = r
+	}
+	e := &exec{c: c, env: env, view: &rowView{c: c}}
+	return e.finish(q, spec, in), nil
 }
 
 func havingPass(having []Expr, b Vars, env *Env) bool {
@@ -485,9 +382,9 @@ func havingPass(having []Expr, b Vars, env *Env) bool {
 
 // appendGroupKeyPart appends one group-key component: a bound marker so
 // an unbound variable can never collide with any bound value, then the
-// collision-free term encoding. The append-based form lets both grouping
-// paths reuse one buffer across rows instead of allocating a string per
-// row.
+// collision-free term encoding. The append-based form lets grouping and
+// DISTINCT reuse one buffer across rows instead of allocating a string
+// per row.
 func appendGroupKeyPart(buf []byte, t rdf.Term, bound bool) []byte {
 	if !bound {
 		return append(buf, '-')
@@ -496,22 +393,10 @@ func appendGroupKeyPart(buf []byte, t rdf.Term, bound bool) []byte {
 	return appendTermKey(buf, t)
 }
 
-// appendTermKey appends the length-prefixed encoding of every term field
-// (the []byte counterpart of writeTermKey).
-func appendTermKey(buf []byte, t rdf.Term) []byte {
-	buf = append(buf, byte('0'+t.Kind()))
-	for _, part := range [3]string{t.Value(), t.Datatype(), t.Lang()} {
-		buf = strconv.AppendInt(buf, int64(len(part)), 10)
-		buf = append(buf, ':')
-		buf = append(buf, part...)
-	}
-	return buf
-}
-
-// aggregateRows is the streaming evaluator's grouping step over
-// slot-indexed rows. Aggregate aliases occupy slots registered by
-// compileQuery; output rows bind exactly the group slots and the alias
-// slots. Groups emit in first-appearance order, like refAggregate.
+// aggregateRows is the grouping step over slot-indexed rows. Aggregate
+// aliases occupy slots registered by compileQuery; output rows bind
+// exactly the group slots and the alias slots. Groups emit in
+// first-appearance order.
 func (e *exec) aggregateRows(spec *aggSpec, rows []row) []row {
 	type group struct {
 		rep    row
@@ -542,7 +427,12 @@ func (e *exec) aggregateRows(spec *aggSpec, rows []row) []row {
 	arr := make([]group, 0, hint)
 	groups := make(map[string]int32, hint)
 	states := newAggArena(len(spec.aggs))
-	terms := newTermArena(len(e.c.names))
+	terms := newTermArena(len(e.c.vars))
+	newRep := func() row {
+		rep := row(terms.take())
+		copy(rep, e.c.vars)
+		return rep
+	}
 	var keyBuf []byte
 	for _, r := range rows {
 		keyBuf = keyBuf[:0]
@@ -556,14 +446,10 @@ func (e *exec) aggregateRows(spec *aggSpec, rows []row) []row {
 		}
 		idx, ok := groups[string(keyBuf)]
 		if !ok {
-			rep := row{vals: terms.take()}
+			rep := newRep()
 			for _, slot := range groupSlots {
-				if slot < 0 {
-					continue
-				}
-				if t, ok := r.get(slot); ok {
-					rep.vals[slot] = t
-					rep.mask |= 1 << slot
+				if slot >= 0 {
+					rep[slot] = r[slot]
 				}
 			}
 			idx = int32(len(arr))
@@ -581,16 +467,15 @@ func (e *exec) aggregateRows(spec *aggSpec, rows []row) []row {
 		}
 	}
 	if len(arr) == 0 && len(spec.groupBy) == 0 {
-		arr = append(arr, group{rep: row{vals: terms.take()}, states: states.take()})
+		// A global aggregate over zero rows still produces one group.
+		arr = append(arr, group{rep: newRep(), states: states.take()})
 	}
 	out := make([]row, 0, len(arr))
 	for gi := range arr {
 		g := &arr[gi]
 		for i, a := range spec.aggs {
 			if t, ok := g.states[i].result(a); ok {
-				slot := e.c.slots[a.As]
-				g.rep.vals[slot] = t
-				g.rep.mask |= 1 << slot
+				g.rep[e.c.slots[a.As]] = t
 			}
 		}
 		if len(spec.having) > 0 {

@@ -9,11 +9,13 @@ import (
 	"nl2cm/internal/rdf"
 )
 
-// The differential property test pins the optimized evaluator's
-// semantics to the retained naive evaluator: for randomized stores and
-// randomized queries mixing BGPs, OPTIONAL, UNION, FILTER, DISTINCT,
-// ORDER BY, projection and OFFSET/LIMIT, Eval and EvalReference must
-// produce the same solution multiset.
+// The differential property test pins the streaming evaluator's
+// semantics to the naive reference evaluator (refeval_test.go): for
+// randomized stores and randomized queries mixing BGPs, OPTIONAL, UNION,
+// FILTER, DISTINCT, ORDER BY, projection and OFFSET/LIMIT, Eval and
+// EvalReference must produce the same solution multiset. The same seeds
+// pin AggregateBindings, the post-hoc modifier path the crowd engine
+// uses, against the reference as well.
 
 var diffVarPool = []string{"a", "b", "c", "d", "e"}
 
@@ -222,11 +224,37 @@ func multiset(bs []Binding) []string {
 	return keys
 }
 
+// sameSolutions fails the test unless got and want hold the same
+// multiset of bindings, and, when ordered is set (every variable a sort
+// key), the same sequence.
+func sameSolutions(t *testing.T, what string, seed int64, q *Query, got, want []Binding, ordered bool) {
+	t.Helper()
+	gm, wm := multiset(got), multiset(want)
+	if len(gm) != len(wm) {
+		t.Fatalf("seed %d: %s: row count mismatch: got %d, reference %d\nquery: %+v", seed, what, len(gm), len(wm), q)
+	}
+	for i := range gm {
+		if gm[i] != wm[i] {
+			t.Fatalf("seed %d: %s: multiset mismatch at %d:\n  got: %s\n  ref: %s\nquery: %+v", seed, what, i, gm[i], wm[i], q)
+		}
+	}
+	if ordered {
+		for i := range got {
+			if BindingKey(got[i]) != BindingKey(want[i]) {
+				t.Fatalf("seed %d: %s: ordered row %d differs:\n  got: %v\n  ref: %v", seed, what, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestDifferentialEvalMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 400; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		st := randomStore(r)
 		q := randomQuery(r)
+		// Under a total order (every variable a sort key) the sequences
+		// must agree exactly, not just as multisets.
+		ordered := len(q.OrderBy) == len(diffVarPool)
 		got, gerr := Eval(q, st, nil)
 		want, werr := EvalReference(q, st, nil)
 		if (gerr == nil) != (werr == nil) {
@@ -235,46 +263,86 @@ func TestDifferentialEvalMatchesReference(t *testing.T) {
 		if gerr != nil {
 			continue
 		}
-		gm, wm := multiset(got), multiset(want)
-		if len(gm) != len(wm) {
-			t.Fatalf("seed %d: row count mismatch: Eval=%d EvalReference=%d\nquery: %+v", seed, len(gm), len(wm), q)
+		sameSolutions(t, "Eval", seed, q, got, want, ordered)
+
+		// The crowd engine's path: evaluate the pattern part alone, then
+		// apply the modifiers post hoc through AggregateBindings. Both
+		// sides run without projection and DISTINCT, as the crowd engine
+		// applies its own.
+		pattern := &Query{Where: q.Where, Unions: q.Unions, Optionals: q.Optionals, Filters: q.Filters, Limit: -1}
+		rows, err := Eval(pattern, st, nil)
+		if err != nil {
+			t.Fatalf("seed %d: pattern-only Eval: %v", seed, err)
 		}
-		for i := range gm {
-			if gm[i] != wm[i] {
-				t.Fatalf("seed %d: multiset mismatch at %d:\n  eval: %s\n  ref:  %s\nquery: %+v", seed, i, gm[i], wm[i], q)
-			}
+		mq := *q
+		mq.Vars, mq.Distinct = nil, false
+		got, gerr = AggregateBindings(&mq, rows, nil)
+		want, werr = EvalReference(&mq, st, nil)
+		if (gerr == nil) != (werr == nil) {
+			t.Fatalf("seed %d: error mismatch: AggregateBindings=%v EvalReference=%v\nquery: %+v", seed, gerr, werr, &mq)
 		}
-		// Under a total order (every variable a sort key) the sequences
-		// must agree exactly, not just as multisets.
-		if len(q.OrderBy) == len(diffVarPool) {
-			for i := range got {
-				if BindingKey(got[i]) != BindingKey(want[i]) {
-					t.Fatalf("seed %d: ordered row %d differs:\n  eval: %v\n  ref:  %v", seed, i, got[i], want[i])
-				}
-			}
+		if gerr != nil {
+			continue
 		}
+		sameSolutions(t, "AggregateBindings", seed, &mq, got, want, ordered)
 	}
 }
 
-// TestDifferentialFallbackWideQuery forces the >64-variable fallback
-// path and checks it degrades to the reference evaluator, not an error.
-func TestDifferentialFallbackWideQuery(t *testing.T) {
+// TestEvalWideQuery pins that Eval has no width limit (in particular none
+// at a 64-bit word of slots): a 130-variable query whose OPTIONAL binds
+// slots past 64 for some rows only, ordered and projected on those
+// slots, must match the reference evaluator row for row.
+func TestEvalWideQuery(t *testing.T) {
+	// A directed 5-cycle under p0: a 128-step walk from each node is one
+	// solution of the chained main pattern. Only e1 and e3 have a p1
+	// edge, so the OPTIONAL binds v128 and v129 in two rows of five.
 	st := rdf.NewShardedStore(0)
-	st.MustAdd(rdf.T(diffEntity(0), diffPred(0), diffEntity(1)))
-	q := &Query{Limit: -1}
-	for i := 0; i < maxSlots+2; i++ {
-		q.Where = append(q.Where, rdf.T(
-			rdf.NewVar(fmt.Sprintf("v%d", i)), diffPred(0), diffEntity(1)))
+	const cycle = 5
+	for i := 0; i < cycle; i++ {
+		st.MustAdd(rdf.T(diffEntity(i), diffPred(0), diffEntity((i+1)%cycle)))
 	}
-	if _, ok := compileQuery(q); ok {
-		t.Fatalf("expected compileQuery to report too many slots")
+	st.MustAdd(rdf.T(diffEntity(1), diffPred(1), diffEntity(3)))
+	st.MustAdd(rdf.T(diffEntity(3), diffPred(1), diffEntity(0)))
+	v := func(i int) rdf.Term { return rdf.NewVar(fmt.Sprintf("v%d", i)) }
+	q := &Query{Limit: -1}
+	for i := 0; i < 127; i++ {
+		q.Where = append(q.Where, rdf.T(v(i), diffPred(0), v(i+1)))
+	}
+	q.Optionals = [][]rdf.Triple{{
+		rdf.T(v(127), diffPred(1), v(128)),
+		rdf.T(v(128), diffPred(0), v(129)),
+	}}
+	q.OrderBy = []OrderKey{{Var: "v128", Desc: true}, {Var: "v100"}}
+	q.Vars = []string{"v129", "v0", "v128", "v100"}
+	if c := compileQuery(q, nil); len(c.vars) != 130 || c.slots["v128"] < 64 || c.slots["v100"] < 64 {
+		t.Fatalf("query does not exercise slots past 64: %d slots, v128=%d v100=%d", len(c.vars), c.slots["v128"], c.slots["v100"])
 	}
 	got, err := Eval(q, st, nil)
 	if err != nil {
 		t.Fatalf("Eval: %v", err)
 	}
-	if len(got) != 1 {
-		t.Fatalf("want 1 row from wide query, got %d", len(got))
+	want, err := EvalReference(q, st, nil)
+	if err != nil {
+		t.Fatalf("EvalReference: %v", err)
+	}
+	if len(got) != cycle {
+		t.Fatalf("want %d rows from the wide query, got %d: %v", cycle, len(got), got)
+	}
+	optional := 0
+	for i := range got {
+		if BindingKey(got[i]) != BindingKey(want[i]) {
+			t.Fatalf("row %d differs:\n  eval: %v\n  ref:  %v", i, got[i], want[i])
+		}
+		if _, ok := got[i]["v128"]; ok {
+			optional++
+		}
+	}
+	if optional != 2 {
+		t.Fatalf("want the OPTIONAL to bind v128 in 2 rows, got %d: %v", optional, got)
+	}
+	// DESC puts the bound v128 values first, greatest first.
+	if got[0]["v128"] != diffEntity(3) || got[1]["v128"] != diffEntity(0) {
+		t.Fatalf("rows not ordered by DESC(v128): %v", got)
 	}
 }
 
@@ -296,6 +364,44 @@ func TestBindingKeyCollisionFree(t *testing.T) {
 	}
 	if BindingKey(b1) != BindingKey(Binding{"x": rdf.NewIRI("a>;y=<b")}) {
 		t.Fatalf("BindingKey not deterministic")
+	}
+}
+
+// TestDistinctRowKeyCollisionFree pins DISTINCT over rows that bind
+// different slots. A key of slot numbers and term encodings written back
+// to back ("1" "1" "15:abcde0:0:1201:x" ... against "11" "1" "5:abcde"
+// ... "12" ...) encoded these two rows identically, so DISTINCT dropped
+// one of them.
+func TestDistinctRowKeyCollisionFree(t *testing.T) {
+	st := rdf.NewShardedStore(0)
+	e := rdf.NewIRI("e")
+	st.MustAdd(rdf.T(e, diffPred(0), rdf.NewLiteral("abcde0:0:1201:x")))
+	st.MustAdd(rdf.T(e, diffPred(1), rdf.NewLiteral("abcde")))
+	st.MustAdd(rdf.T(e, diffPred(2), rdf.NewIRI("x")))
+	v := func(i int) rdf.Term { return rdf.NewVar(fmt.Sprintf("v%d", i)) }
+	// Slots follow first appearance: v0 and v1 from the first
+	// alternative, v2..v10 from one that never matches, v11 and v12 from
+	// the last.
+	var never []rdf.Triple
+	for i := 2; i <= 10; i++ {
+		never = append(never, rdf.T(v(0), diffPred(3), v(i)))
+	}
+	q := &Query{
+		Unions: [][][]rdf.Triple{{
+			{rdf.T(v(0), diffPred(0), v(1))},
+			never,
+			{rdf.T(v(0), diffPred(1), v(11)), rdf.T(v(0), diffPred(2), v(12))},
+		}},
+		Distinct: true,
+		Limit:    -1,
+	}
+	if c := compileQuery(q, nil); c.slots["v1"] != 1 || c.slots["v11"] != 11 || c.slots["v12"] != 12 {
+		t.Fatalf("unexpected slots: %v", c.slots)
+	}
+	for name, rows := range bothEvals(t, q, st) {
+		if len(rows) != 2 {
+			t.Errorf("%s: DISTINCT kept %d rows, want 2: %v", name, len(rows), rows)
+		}
 	}
 }
 

@@ -2,9 +2,9 @@ package sparql
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
-	"strings"
 
 	"nl2cm/internal/rdf"
 )
@@ -23,7 +23,7 @@ type Source interface {
 }
 
 // pin resolves a mutable source to an immutable point-in-time view when
-// the source supports it (*rdf.ShardedStore does). Both evaluators pin
+// the source supports it (*rdf.ShardedStore does). Evaluation pins
 // once at query start, so planning and every join step of one query see
 // a single epoch even while write batches publish concurrently;
 // mid-query reads never mix epochs.
@@ -43,9 +43,10 @@ func pin(src Source) Source {
 // patterns stream depth-first through the planned join order without
 // materializing per-pattern intermediate row sets, and filters whose
 // variables are all bound by the main pattern run inside the join,
-// pruning rows before they fan out. The result multiset is identical to
-// EvalReference's (assuming pure Env functions and sets); row order
-// before ORDER BY is unspecified in both.
+// pruning rows before they fan out. The differential tests pin the
+// result multiset to a naive map-based reference evaluator (assuming
+// pure Env functions and sets); row order before ORDER BY is
+// unspecified. Queries of any width evaluate here.
 func Eval(q *Query, src Source, env *Env) ([]Binding, error) {
 	if src == nil {
 		return nil, fmt.Errorf("sparql: nil source")
@@ -55,32 +56,15 @@ func Eval(q *Query, src Source, env *Env) ([]Binding, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, ok := compileQuery(q)
-	if ok && spec != nil {
-		// Aggregate aliases occupy slots of their own so that HAVING,
-		// ORDER BY and projection address them like pattern variables.
-		for _, a := range spec.aggs {
-			if _, exists := c.slots[a.As]; !exists {
-				c.slots[a.As] = len(c.names)
-				c.names = append(c.names, a.As)
-			}
-		}
-		ok = len(c.names) <= maxSlots
-	}
-	if !ok {
-		// Wider than the slotted row's 64-variable bound mask.
-		return EvalReference(q, src, env)
-	}
+	c := compileQuery(q, spec)
 	e := &exec{c: c, src: src, env: env, view: &rowView{c: c}}
 
 	// Main basic graph pattern: plan once, attach every filter whose
-	// variables are certainly bound by it, stream the join.
+	// variables are certainly bound by it, stream the join. The empty
+	// pattern yields the single all-unbound row.
 	plan := planBGP(q.Where, nil, src)
 	steps, postFilters := attachFilters(plan, q.Filters, c)
-	rows := e.extendAll(nil, steps)
-	if len(q.Where) == 0 {
-		rows = []row{{}} // one empty row, as the empty BGP's solution
-	}
+	rows := e.extend(c.vars, steps, 0, nil)
 
 	// Union blocks: each block extends the rows through any of its
 	// alternative patterns (bag semantics: a row reached through two
@@ -141,6 +125,15 @@ func Eval(q *Query, src Source, env *Env) ([]Binding, error) {
 		}
 		rows = kept
 	}
+	return e.finish(q, spec, rows), nil
+}
+
+// finish applies the solution modifiers that follow the WHERE clause, in
+// SPARQL order — grouping and HAVING, ORDER BY, projection, DISTINCT, the
+// OFFSET/LIMIT window — and materializes map-form bindings. rows may be
+// reordered and filtered in place.
+func (e *exec) finish(q *Query, spec *aggSpec, rows []row) []Binding {
+	c := e.c
 
 	// Grouping and aggregation: collapse rows into per-group rows binding
 	// the GROUP BY variables and aggregate aliases, then apply HAVING.
@@ -164,7 +157,7 @@ func Eval(q *Query, src Source, env *Env) ([]Binding, error) {
 		sort.SliceStable(rows, func(i, j int) bool {
 			for _, k := range keys {
 				if !k.has {
-					continue // variable no pattern can bind: all equal
+					continue // variable no row can bind: all equal
 				}
 				ti, iok := rows[i].get(k.slot)
 				tj, jok := rows[j].get(k.slot)
@@ -191,31 +184,25 @@ func Eval(q *Query, src Source, env *Env) ([]Binding, error) {
 		})
 	}
 
-	// Projection: narrowing the bound mask is enough — dropped slots are
-	// invisible to DISTINCT and to materialization.
-	if len(q.Vars) > 0 {
-		var projMask uint64
-		for _, v := range q.Vars {
-			if slot, ok := c.slots[v]; ok {
-				projMask |= 1 << slot
-			}
-		}
-		for i := range rows {
-			rows[i].mask &= projMask
-		}
-	}
+	// Projection: DISTINCT and materialization read only the kept slots.
+	keep := c.projection(q.Vars)
 
-	// Distinct.
+	// Distinct. The kept slots are a fixed sequence, so a row's key is
+	// one group-key part per kept slot, bound or not.
 	if q.Distinct {
 		seen := map[string]bool{}
 		kept := rows[:0]
-		var sb strings.Builder
+		var key []byte
 		for _, r := range rows {
-			sb.Reset()
-			writeRowKey(&sb, r, c)
-			key := sb.String()
-			if !seen[key] {
-				seen[key] = true
+			key = key[:0]
+			for slot := range r {
+				if keep == nil || keep[slot] {
+					t, ok := r.get(slot)
+					key = appendGroupKeyPart(key, t, ok)
+				}
+			}
+			if !seen[string(key)] {
+				seen[string(key)] = true
 				kept = append(kept, r)
 			}
 		}
@@ -240,14 +227,14 @@ func Eval(q *Query, src Source, env *Env) ([]Binding, error) {
 	out := make([]Binding, len(rows))
 	for i, r := range rows {
 		b := make(Binding)
-		for slot, name := range c.names {
-			if r.mask&(1<<slot) != 0 {
-				b[name] = r.vals[slot]
+		for slot := range r {
+			if t, ok := r.get(slot); ok && (keep == nil || keep[slot]) {
+				b[c.vars[slot].Value()] = t
 			}
 		}
 		out[i] = b
 	}
-	return out, nil
+	return out
 }
 
 // EvalPattern evaluates a bare graph pattern (triples + filters) and
@@ -257,20 +244,17 @@ func EvalPattern(where []rdf.Triple, filters []Expr, src Source, env *Env) ([]Bi
 	return Eval(q, src, env)
 }
 
-// row is one solution during evaluation: terms indexed by compiled slot,
-// with a bitmask of bound slots. Extending a row copies the term slice
-// once (copy-on-write); rows that bind nothing new share their parent's
-// storage.
-type row struct {
-	vals []rdf.Term
-	mask uint64
-}
+// row is one solution during evaluation: terms indexed by compiled slot.
+// An unbound slot holds its own variable term, which no source yields
+// (sources hold ground triples and aggregates produce literals or bound
+// terms), so the all-unbound row is the slot table's vars slice itself.
+// Extending a row copies the term slice once (copy-on-write); rows that
+// bind nothing new share their parent's storage.
+type row []rdf.Term
 
 func (r row) get(slot int) (rdf.Term, bool) {
-	if r.mask&(1<<slot) == 0 {
-		return rdf.Term{}, false
-	}
-	return r.vals[slot], true
+	t := r[slot]
+	return t, !t.IsVar()
 }
 
 // rowView adapts a row to the Vars interface for filter evaluation; one
@@ -346,25 +330,14 @@ func attachFilters(plan []rdf.Triple, filters []Expr, c *compiled) ([]planStep, 
 	return steps, post
 }
 
-// exec carries the per-Eval state shared by the join recursion.
+// exec carries the per-query state shared by the join recursion and the
+// modifier tail (finish). AggregateBindings runs only the tail and leaves
+// src nil.
 type exec struct {
 	c    *compiled
 	src  Source
 	env  *Env
 	view *rowView
-}
-
-// extendAll runs every seed row (nil means the single empty row) through
-// the join steps and returns the produced rows.
-func (e *exec) extendAll(seed []row, steps []planStep) []row {
-	var out []row
-	if seed == nil {
-		return e.extend(row{}, steps, 0, out)
-	}
-	for _, r := range seed {
-		out = e.extend(r, steps, 0, out)
-	}
-	return out
 }
 
 // extend streams r depth-first through steps[depth:], appending every
@@ -390,13 +363,13 @@ func (e *exec) extend(r row, steps []planStep, depth int, out []row) []row {
 	return out
 }
 
-// substituteRow replaces variables the row binds with their terms.
+// substituteRow replaces variables the row binds with their terms. An
+// unbound slot holds the variable itself, so every variable position is
+// simply read from the row.
 func (e *exec) substituteRow(p rdf.Triple, r row) rdf.Triple {
 	sub := func(t rdf.Term) rdf.Term {
 		if t.IsVar() {
-			if bt, ok := r.get(e.c.slots[t.Value()]); ok {
-				return bt
-			}
+			return r[e.c.slots[t.Value()]]
 		}
 		return t
 	}
@@ -419,17 +392,14 @@ func (e *exec) unifyRow(p rdf.Triple, t rdf.Triple, r row) (row, bool) {
 			return prev.Equal(gt)
 		}
 		if !copied {
-			nv := make([]rdf.Term, len(e.c.names))
-			copy(nv, nr.vals)
-			nr.vals = nv
+			nr = slices.Clone(nr)
 			copied = true
 		}
-		nr.vals[slot] = gt
-		nr.mask |= 1 << slot
+		nr[slot] = gt
 		return true
 	}
 	if !bind(p.S, t.S) || !bind(p.P, t.P) || !bind(p.O, t.O) {
-		return row{}, false
+		return nil, false
 	}
 	return nr, true
 }
@@ -457,35 +427,23 @@ func BindingKey(b Binding) string {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	var sb strings.Builder
+	var buf []byte
 	for _, k := range keys {
-		sb.WriteString(strconv.Itoa(len(k)))
-		sb.WriteByte(':')
-		sb.WriteString(k)
-		writeTermKey(&sb, b[k])
+		buf = strconv.AppendInt(buf, int64(len(k)), 10)
+		buf = append(buf, ':')
+		buf = append(buf, k...)
+		buf = appendTermKey(buf, b[k])
 	}
-	return sb.String()
+	return string(buf)
 }
 
-// writeRowKey writes the collision-free key of a row's bound slots. The
-// slot table is fixed for the whole query, so the slot index substitutes
-// for the variable name.
-func writeRowKey(sb *strings.Builder, r row, c *compiled) {
-	for slot := range c.names {
-		if r.mask&(1<<slot) == 0 {
-			continue
-		}
-		sb.WriteString(strconv.Itoa(slot))
-		writeTermKey(sb, r.vals[slot])
-	}
-}
-
-// writeTermKey writes a length-prefixed encoding of every term field.
-func writeTermKey(sb *strings.Builder, t rdf.Term) {
-	sb.WriteByte(byte('0' + t.Kind()))
+// appendTermKey appends a length-prefixed encoding of every term field.
+func appendTermKey(buf []byte, t rdf.Term) []byte {
+	buf = append(buf, byte('0'+t.Kind()))
 	for _, part := range [3]string{t.Value(), t.Datatype(), t.Lang()} {
-		sb.WriteString(strconv.Itoa(len(part)))
-		sb.WriteByte(':')
-		sb.WriteString(part)
+		buf = strconv.AppendInt(buf, int64(len(part)), 10)
+		buf = append(buf, ':')
+		buf = append(buf, part...)
 	}
+	return buf
 }

@@ -84,30 +84,24 @@ func estimateCost(p rdf.Triple, bound map[string]bool, src Source) float64 {
 	return cost
 }
 
-// compiled is the per-Eval query compilation: a dense slot table over
-// every variable that a triple pattern anywhere in the query can bind.
+// compiled is the per-query slot table: a dense index over every
+// variable that a triple pattern anywhere in the query can bind, plus the
+// aggregate aliases. vars holds each slot's own variable term, so it is
+// also the all-unbound row.
 type compiled struct {
 	slots map[string]int
-	names []string
+	vars  []rdf.Term
 }
 
-// maxSlots is the widest query the slotted row representation handles;
-// wider queries fall back to EvalReference (the row's bound-mask is one
-// 64-bit word).
-const maxSlots = 64
-
-// compileQuery assigns slots in first-appearance order, or reports
-// ok=false when the query has too many distinct pattern variables.
-func compileQuery(q *Query) (*compiled, bool) {
+// compileQuery assigns slots in first-appearance order to the pattern
+// variables, then to the aggregate aliases of spec (nil when the query
+// has no grouping step). Aliases occupy slots of their own so that
+// HAVING, ORDER BY and projection address them like pattern variables.
+func compileQuery(q *Query, spec *aggSpec) *compiled {
 	c := &compiled{slots: map[string]int{}}
 	add := func(patterns []rdf.Triple) {
 		for _, p := range patterns {
-			p.EachVar(func(v string) {
-				if _, ok := c.slots[v]; !ok {
-					c.slots[v] = len(c.names)
-					c.names = append(c.names, v)
-				}
-			})
+			p.EachVar(c.addVar)
 		}
 	}
 	add(q.Where)
@@ -119,7 +113,36 @@ func compileQuery(q *Query) (*compiled, bool) {
 	for _, opt := range q.Optionals {
 		add(opt)
 	}
-	return c, len(c.names) <= maxSlots
+	if spec != nil {
+		for _, a := range spec.aggs {
+			c.addVar(a.As)
+		}
+	}
+	return c
+}
+
+// addVar gives v a slot unless it already has one.
+func (c *compiled) addVar(v string) {
+	if _, ok := c.slots[v]; !ok {
+		c.slots[v] = len(c.vars)
+		c.vars = append(c.vars, rdf.NewVar(v))
+	}
+}
+
+// projection marks the slots that survive projection onto vars, or
+// returns nil when every slot does (SELECT *). Projected variables no
+// pattern binds have no slot and stay absent.
+func (c *compiled) projection(vars []string) []bool {
+	if len(vars) == 0 {
+		return nil
+	}
+	keep := make([]bool, len(c.vars))
+	for _, v := range vars {
+		if slot, ok := c.slots[v]; ok {
+			keep[slot] = true
+		}
+	}
+	return keep
 }
 
 // exprVars collects the variable names referenced by a filter

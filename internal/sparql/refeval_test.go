@@ -2,17 +2,18 @@ package sparql
 
 import (
 	"fmt"
+	"sort"
 
 	"nl2cm/internal/rdf"
 )
 
-// EvalReference is the retained naive evaluator: map-backed bindings
+// EvalReference is the naive reference evaluator: map-backed bindings
 // cloned on every unification, join order chosen by counting unbound
-// variables, OPTIONAL groups re-planned per row. It computes the same
-// solution multiset as Eval and serves two purposes: it is the oracle of
-// the differential property tests that pin the optimized evaluator's
-// semantics, and the fallback for queries with more distinct pattern
-// variables than the slotted row representation supports.
+// variables, OPTIONAL groups re-planned per row, and its own grouping,
+// ordering and windowing over map-form rows. It shares no join, row or
+// modifier code with Eval, which makes it the oracle of the
+// differential property tests that pin Eval's and AggregateBindings'
+// semantics.
 func EvalReference(q *Query, src Source, env *Env) ([]Binding, error) {
 	src = pin(src)
 	spec, err := aggregationSpec(q)
@@ -227,4 +228,104 @@ func unify(p rdf.Triple, t rdf.Triple, b Binding) (Binding, bool) {
 		return nil, false
 	}
 	return nb, true
+}
+
+// refAggregate is the reference evaluator's grouping step over map-form
+// bindings. Groups emit in first-appearance order of their keys.
+//
+// The group key is assembled in a reused byte buffer and looked up via
+// groups[string(key)] — the compiler elides that conversion's
+// allocation — so only the first row of each group materializes a key
+// string. At 100k rows this removes one allocation per row.
+func refAggregate(spec *aggSpec, rows []Binding, env *Env) []Binding {
+	type group struct {
+		rep    Binding
+		states []aggState
+	}
+	hint := groupSizeHint(len(rows))
+	// Groups live in a slice in first-appearance order; the map holds
+	// indexes into it, so no per-group pointer allocation and no separate
+	// emission-order slice are needed.
+	arr := make([]group, 0, hint)
+	groups := make(map[string]int32, hint)
+	states := newAggArena(len(spec.aggs))
+	var keyBuf []byte
+	for _, b := range rows {
+		keyBuf = keyBuf[:0]
+		for _, v := range spec.groupBy {
+			t, ok := b[v]
+			keyBuf = appendGroupKeyPart(keyBuf, t, ok)
+		}
+		idx, ok := groups[string(keyBuf)]
+		if !ok {
+			rep := make(Binding, len(spec.groupBy)+len(spec.aggs))
+			for _, v := range spec.groupBy {
+				if t, ok := b[v]; ok {
+					rep[v] = t
+				}
+			}
+			idx = int32(len(arr))
+			arr = append(arr, group{rep: rep, states: states.take()})
+			groups[string(keyBuf)] = idx
+		}
+		g := &arr[idx]
+		for i, a := range spec.aggs {
+			t, ok := b[a.Var]
+			g.states[i].add(a, t, ok)
+		}
+	}
+	if len(arr) == 0 && len(spec.groupBy) == 0 {
+		// A global aggregate over zero rows still produces one group.
+		arr = append(arr, group{rep: Binding{}, states: states.take()})
+	}
+	out := make([]Binding, 0, len(arr))
+	for gi := range arr {
+		g := &arr[gi]
+		b := g.rep
+		for i, a := range spec.aggs {
+			if t, ok := g.states[i].result(a); ok {
+				b[a.As] = t
+			}
+		}
+		if havingPass(spec.having, b, env) {
+			out = append(out, b)
+		}
+	}
+	return out
+}
+
+// SortBindings orders map-form solution rows in place under the SPARQL
+// ordering semantics both evaluators share: an unbound sort variable
+// sorts before any bound value (so under DESC it sorts last), two
+// unbound values compare equal and fall through to the next key, and
+// bound terms compare under the typed rdf.Term.Compare ordering.
+func SortBindings(rows []Binding, keys []OrderKey) {
+	if len(keys) == 0 {
+		return
+	}
+	sort.SliceStable(rows, func(i, j int) bool {
+		for _, k := range keys {
+			ti, iok := rows[i][k.Var]
+			tj, jok := rows[j][k.Var]
+			if !iok || !jok {
+				if iok == jok {
+					continue
+				}
+				less := !iok // unbound before bound
+				if k.Desc {
+					return !less
+				}
+				return less
+			}
+			c := ti.Compare(tj)
+			if c == 0 {
+				continue
+			}
+			if k.Desc {
+				return c > 0
+			}
+			return c < 0
+		}
+		return false
+	})
 }
